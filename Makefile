@@ -84,11 +84,15 @@ loadgen-smoke:
 ## the tracev1 binary decoder (never panics, and anything it accepts must
 ## round-trip bit-identically); FuzzPlanValidate hammers the fleet plan
 ## codec (never panics, and any plan the canonical decoder accepts must
-## re-encode bit-identically).
+## re-encode bit-identically); FuzzEncodeMatchesTape and
+## FuzzPredictGridMatchesPredict hold the tape-free encoder and the batched
+## grid sweep bit-identical to the tape path.
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=20s -run='^$$' ./internal/qsim
 	$(GO) test -fuzz=FuzzDecode -fuzztime=20s -run='^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzPlanValidate -fuzztime=20s -run='^$$' ./internal/fleet
+	$(GO) test -fuzz='^FuzzEncodeMatchesTape$$' -fuzztime=15s -run='^$$' ./internal/surrogate
+	$(GO) test -fuzz='^FuzzPredictGridMatchesPredict$$' -fuzztime=15s -run='^$$' ./internal/surrogate
 
 ## replay-smoke: CI check for the workload-zoo replay path — generate a
 ## small azure tracev1 (digest-verified), replay it twice through the real

@@ -31,10 +31,21 @@ package gemm
 const panelWidth = 8
 
 // BlockedThreshold is the multiply-add volume (n*k*m) above which Blocked
-// is expected to beat Naive (below it, the packing pass and panel
-// bookkeeping dominate). Callers dispatching between kernels use it;
+// beats Naive whatever the shape (below it, the packing pass and panel
+// bookkeeping dominate unless the output is wide; see UseBlocked). Callers
+// that allocate a fresh pack buffer per product dispatch on it alone;
 // because the kernels are bit-identical the cutoff affects speed only.
 const BlockedThreshold = 1 << 15
+
+// UseBlocked is the kernel dispatch rule for an n×k by k×m product whose
+// pack buffer is reused across calls: take Blocked when the output is at
+// least one full panel wide (m >= panelWidth), where the register tile pays
+// for the pack even on small products, or when the volume n*k*m reaches
+// BlockedThreshold. Otherwise take Naive. Both kernels give the same bits,
+// so the rule affects speed only.
+func UseBlocked(n, k, m int) bool {
+	return m >= panelWidth || n*k*m >= BlockedThreshold
+}
 
 // Naive computes dst = A (n×k) × B (k×m) for rows [lo, hi) of the output
 // with the reference ikj loop: row-wise streaming of B, per-cell ascending

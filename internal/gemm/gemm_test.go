@@ -210,3 +210,24 @@ func BenchmarkBlocked256(b *testing.B) {
 		Blocked(dst, x, packed, 0, 256, 256, 256)
 	}
 }
+
+// TestUseBlockedRule pins the shape-based dispatch: a full panel of output
+// columns or a large volume selects Blocked, anything else Naive.
+func TestUseBlockedRule(t *testing.T) {
+	for _, c := range []struct {
+		n, k, m int
+		want    bool
+	}{
+		{64, 16, 16, true}, // encoder projection: wide output
+		{1, 1, panelWidth, true},
+		{2, 2, 2, false},   // MAP-sized product
+		{64, 64, 7, false}, // narrow output, volume below threshold
+		{128, 64, 4, true}, // narrow output, volume at threshold
+		{216, 32, 6, true}, // grid head output layer
+		{16, 16, panelWidth - 1, false},
+	} {
+		if got := UseBlocked(c.n, c.k, c.m); got != c.want {
+			t.Fatalf("UseBlocked(%d, %d, %d) = %v, want %v", c.n, c.k, c.m, got, c.want)
+		}
+	}
+}

@@ -104,22 +104,23 @@ func (f *FeedForward) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return f.L2.Forward(tensor.ReLU(f.L1.Forward(x)))
 }
 
-// ForwardScratch applies the block tape-free, drawing the hidden activation
-// and the output from pool. The returned (n × Out) tensor is pool-owned: the
-// caller must hand it back with pool.Put (after copying anything it needs)
-// before the pool is reused for conflicting work. Values are bit-identical
-// to Forward's. NoGrad only.
+// WorkspaceLen returns the workspace floats ForwardInto takes for n input
+// rows (the hidden activation).
+func (f *FeedForward) WorkspaceLen(n int) int { return n * f.Hidden }
+
+// ForwardInto applies the block tape-free into dst (n × Out), taking the
+// hidden activation from ws and handing it back before returning. Values
+// are bit-identical to Forward's. NoGrad only.
 //
 //deepbat:nograd
-func (f *FeedForward) ForwardScratch(pool *tensor.ScratchPool, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Rows()
-	h := pool.Get(n, f.Hidden)
-	f.L1.ForwardInto(h, x)
+//deepbat:hotpath
+func (f *FeedForward) ForwardInto(ws *tensor.Workspace, dst, x *tensor.Tensor) *tensor.Tensor {
+	mark := ws.Mark()
+	h := f.L1.ForwardInto(ws.Take(x.Rows(), f.Hidden), x)
 	tensor.ReLUInPlace(h)
-	out := pool.Get(n, f.Out)
-	f.L2.ForwardInto(out, h)
-	pool.Put(h)
-	return out
+	f.L2.ForwardInto(dst, h)
+	ws.Release(mark)
+	return dst
 }
 
 // Params implements Module.
@@ -158,6 +159,15 @@ func NewLayerNorm(dim int) *LayerNorm {
 // Forward normalizes each row of x.
 func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.LayerNorm(x, l.Gain, l.Bias, l.Eps)
+}
+
+// ForwardInPlace normalizes each row of x in place, bit-identical to
+// Forward. NoGrad only.
+//
+//deepbat:nograd
+//deepbat:hotpath
+func (l *LayerNorm) ForwardInPlace(x *tensor.Tensor) *tensor.Tensor {
+	return tensor.LayerNormInPlace(x, l.Gain, l.Bias, l.Eps)
 }
 
 // Params implements Module.
@@ -200,6 +210,9 @@ func (d *Dropout) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	return tensor.Mul(x, mask)
 }
+
+// active reports whether Forward would apply a mask.
+func (d *Dropout) active() bool { return d.Train && !(d.P <= 0) }
 
 // Params implements Module (dropout has none).
 func (d *Dropout) Params() []*tensor.Tensor { return nil }
@@ -254,6 +267,26 @@ func (p *PositionalEncoding) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	sub := tensor.FromData(p.table.Data[:l*d], l, d)
 	return tensor.Add(x, sub)
+}
+
+// ForwardInPlace adds the positional table to x (l × dim) in place,
+// bit-identical to Forward. NoGrad only.
+//
+//deepbat:nograd
+//deepbat:hotpath
+func (p *PositionalEncoding) ForwardInPlace(x *tensor.Tensor) *tensor.Tensor {
+	if tensor.GradEnabled() {
+		panic("nn: PositionalEncoding.ForwardInPlace requires an enclosing NoGrad scope")
+	}
+	l, d := x.Rows(), x.Cols()
+	if d != p.Dim || l > p.MaxLen {
+		panic(fmt.Sprintf("nn: positional encoding of %d×%d input, table %d×%d", l, d, p.MaxLen, p.Dim))
+	}
+	table := p.table.Data[:l*d]
+	for i := range table {
+		x.Data[i] = x.Data[i] + table[i]
+	}
+	return x
 }
 
 // Params implements Module (the table is constant).
@@ -339,6 +372,56 @@ func (m *MultiHeadAttention) Forward(q, k, v, mask *tensor.Tensor) *tensor.Tenso
 	return m.Wo.Forward(heads)
 }
 
+// WorkspaceLen returns the workspace floats SelfForwardInto takes for an
+// l-row input: the Q, K, V projections and the concatenated heads (l × Dim
+// each), one head's Q, K^T, V and output slices (l × headDim each) and its
+// attention logits (l × l).
+func (m *MultiHeadAttention) WorkspaceLen(l int) int {
+	return 4*l*m.Dim + 4*l*m.headDim + l*l
+}
+
+// SelfForwardInto computes self-attention of x (l × Dim) into dst (l × Dim)
+// tape-free, with no mask, taking its intermediates from ws and handing them
+// back before returning. Every step mirrors Forward(x, x, x, nil) — the
+// same projections, per-head column slices, transposed keys, scaled logits,
+// softmax and head concatenation, through the same kernels — so dst is
+// bit-identical to Forward's output. Attention maps are never recorded.
+// NoGrad only.
+//
+//deepbat:nograd
+//deepbat:hotpath
+func (m *MultiHeadAttention) SelfForwardInto(ws *tensor.Workspace, dst, x *tensor.Tensor) *tensor.Tensor {
+	l, d, hd := x.Rows(), m.Dim, m.headDim
+	mark := ws.Mark()
+	q := m.Wq.ForwardInto(ws.Take(l, d), x)
+	k := m.Wk.ForwardInto(ws.Take(l, d), x)
+	v := m.Wv.ForwardInto(ws.Take(l, d), x)
+	cat := ws.Take(l, d)
+	qh, kt, vh, oh := ws.Take(l, hd), ws.Take(hd, l), ws.Take(l, hd), ws.Take(l, hd)
+	logits := ws.Take(l, l)
+	scale := 1 / math.Sqrt(float64(hd))
+	for h := 0; h < m.Heads; h++ {
+		off := h * hd
+		for r := 0; r < l; r++ {
+			copy(qh.Data[r*hd:(r+1)*hd], q.Data[r*d+off:r*d+off+hd])
+			copy(vh.Data[r*hd:(r+1)*hd], v.Data[r*d+off:r*d+off+hd])
+			for c := 0; c < hd; c++ {
+				kt.Data[c*l+r] = k.Data[r*d+off+c]
+			}
+		}
+		tensor.MatMulInto(logits, qh, kt)
+		tensor.ScaleInPlace(logits, scale)
+		tensor.SoftmaxInPlace(logits)
+		tensor.MatMulInto(oh, logits, vh)
+		for r := 0; r < l; r++ {
+			copy(cat.Data[r*d+off:r*d+off+hd], oh.Data[r*hd:(r+1)*hd])
+		}
+	}
+	m.Wo.ForwardInto(dst, cat)
+	ws.Release(mark)
+	return dst
+}
+
 // LastScores returns the post-softmax attention matrices (one per head) from
 // the most recent Forward call. The returned tensors are owned by the tape;
 // callers should copy the data if they need to keep it.
@@ -406,6 +489,34 @@ func (e *EncoderLayer) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return e.Norm2.Forward(tensor.Add(x, e.Drop2.Forward(ff)))
 }
 
+// WorkspaceLen returns the workspace floats ForwardInPlace takes for an
+// l-row input: one l × Dim sublayer output plus the larger of the
+// attention's and the feed-forward block's own scratch.
+func (e *EncoderLayer) WorkspaceLen(l int) int {
+	return l*e.Dim + max(e.Att.WorkspaceLen(l), e.FF.WorkspaceLen(l))
+}
+
+// ForwardInPlace applies the layer to x (l × dim) in place, tape-free, with
+// its scratch taken from ws and handed back before returning. It runs the
+// evaluation-mode layer (dropout is the identity) and is bit-identical to
+// Forward in evaluation mode; it panics if dropout is active. NoGrad only.
+//
+//deepbat:nograd
+//deepbat:hotpath
+func (e *EncoderLayer) ForwardInPlace(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
+	if e.Drop1.active() || e.Drop2.active() {
+		panic("nn: EncoderLayer.ForwardInPlace with dropout in training mode")
+	}
+	mark := ws.Mark()
+	sub := ws.Take(x.Rows(), x.Cols())
+	e.Att.SelfForwardInto(ws, sub, x)
+	e.Norm1.ForwardInPlace(tensor.AddInPlace(x, sub))
+	e.FF.ForwardInto(ws, sub, x)
+	e.Norm2.ForwardInPlace(tensor.AddInPlace(x, sub))
+	ws.Release(mark)
+	return x
+}
+
 // SetTrain toggles training-mode behaviour (dropout).
 func (e *EncoderLayer) SetTrain(train bool) {
 	e.Drop1.Train = train
@@ -457,6 +568,29 @@ func NewEncoder(rng *rand.Rand, n, dim, ffDim, heads int, dropout float64) *Enco
 func (e *Encoder) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range e.Layers {
 		x = l.Forward(x)
+	}
+	return x
+}
+
+// WorkspaceLen returns the workspace floats ForwardInPlace takes for an
+// l-row input (the layers run one after another, so the largest layer's).
+func (e *Encoder) WorkspaceLen(l int) int {
+	n := 0
+	for _, layer := range e.Layers {
+		n = max(n, layer.WorkspaceLen(l))
+	}
+	return n
+}
+
+// ForwardInPlace applies the stack to x in place, tape-free, bit-identical
+// to Forward in evaluation mode (see EncoderLayer.ForwardInPlace). NoGrad
+// only.
+//
+//deepbat:nograd
+//deepbat:hotpath
+func (e *Encoder) ForwardInPlace(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
+	for _, l := range e.Layers {
+		l.ForwardInPlace(ws, x)
 	}
 	return x
 }

@@ -394,6 +394,19 @@ func TestMultiHeadAttentionSkipsScoreRecordingUnderNoGrad(t *testing.T) {
 	}
 }
 
+// bitsEqual fails the test unless got and want hold the same bit patterns.
+func bitsEqual(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: cell %d = %v, want %v (bitwise)", name, i, got[i], want[i])
+		}
+	}
+}
+
 // TestForwardIntoMatchesForward pins the tape-free row-batched Linear and
 // FeedForward forwards to their allocating counterparts bit for bit.
 func TestForwardIntoMatchesForward(t *testing.T) {
@@ -404,22 +417,74 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 
 	wantLin := lin.Forward(x)
 	wantFF := ff.Forward(x)
-	var pool tensor.ScratchPool
+	var ws tensor.Workspace
+	ws.Reset(13*7 + 13*3 + ff.WorkspaceLen(13))
 	tensor.NoGrad(func() {
-		gotLin := lin.ForwardInto(pool.Get(13, 7), x)
-		for i := range wantLin.Data {
-			if math.Float64bits(gotLin.Data[i]) != math.Float64bits(wantLin.Data[i]) {
-				t.Fatalf("ForwardInto cell %d = %v, want %v (bitwise)", i, gotLin.Data[i], wantLin.Data[i])
-			}
-		}
-		gotFF := ff.ForwardScratch(&pool, x)
-		for i := range wantFF.Data {
-			if math.Float64bits(gotFF.Data[i]) != math.Float64bits(wantFF.Data[i]) {
-				t.Fatalf("ForwardScratch cell %d = %v, want %v (bitwise)", i, gotFF.Data[i], wantFF.Data[i])
-			}
-		}
-		pool.Put(gotLin, gotFF)
+		bitsEqual(t, "Linear.ForwardInto", lin.ForwardInto(ws.Take(13, 7), x).Data, wantLin.Data)
+		bitsEqual(t, "FeedForward.ForwardInto", ff.ForwardInto(&ws, ws.Take(13, 3), x).Data, wantFF.Data)
 	})
+}
+
+// TestInPlaceLayersMatchForward pins each tape-free encoder building block
+// — positional encoding, LayerNorm, self-attention, an encoder layer and the
+// stack — to its tape forward bit for bit, at every sequence length from 1
+// to 12 and at two head counts. Each layer's workspace is reserved at
+// exactly its WorkspaceLen, so an undercount panics here.
+func TestInPlaceLayersMatchForward(t *testing.T) {
+	for _, heads := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(int64(17 + heads)))
+		const dim = 8
+		pe := NewPositionalEncoding(16, dim)
+		ln := NewLayerNorm(dim)
+		for i := range ln.Gain.Data {
+			ln.Gain.Data[i] = 1 + 0.3*rng.NormFloat64()
+			ln.Bias.Data[i] = 0.2 * rng.NormFloat64()
+		}
+		att := NewMultiHeadAttention(rng, dim, heads)
+		layer := NewEncoderLayer(rng, dim, 12, heads, 0.1)
+		enc := NewEncoder(rng, 2, dim, 12, heads, 0.1)
+		for l := 1; l <= 12; l++ {
+			x := tensor.Randn(rng, 1, l, dim)
+			var want [5]*tensor.Tensor
+			tensor.NoGrad(func() {
+				want = [5]*tensor.Tensor{pe.Forward(x), ln.Forward(x), att.Forward(x, x, x, nil), layer.Forward(x), enc.Forward(x)}
+			})
+			var ws tensor.Workspace
+			run := func(name string, need int, fn func(y *tensor.Tensor) *tensor.Tensor, want *tensor.Tensor) {
+				t.Helper()
+				ws.Reset(need)
+				y := x.Clone()
+				tensor.NoGrad(func() { bitsEqual(t, name, fn(y).Data, want.Data) })
+			}
+			run("PositionalEncoding.ForwardInPlace", 0, pe.ForwardInPlace, want[0])
+			run("LayerNorm.ForwardInPlace", 0, ln.ForwardInPlace, want[1])
+			run("MultiHeadAttention.SelfForwardInto", l*dim+att.WorkspaceLen(l), func(y *tensor.Tensor) *tensor.Tensor {
+				return att.SelfForwardInto(&ws, ws.Take(l, dim), y)
+			}, want[2])
+			run("EncoderLayer.ForwardInPlace", layer.WorkspaceLen(l), func(y *tensor.Tensor) *tensor.Tensor {
+				return layer.ForwardInPlace(&ws, y)
+			}, want[3])
+			run("Encoder.ForwardInPlace", enc.WorkspaceLen(l), func(y *tensor.Tensor) *tensor.Tensor {
+				return enc.ForwardInPlace(&ws, y)
+			}, want[4])
+		}
+	}
+}
+
+// TestEncoderForwardInPlaceRejectsTrainingDropout keeps the evaluation-only
+// in-place encoder from silently skipping an active dropout mask.
+func TestEncoderForwardInPlaceRejectsTrainingDropout(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	enc := NewEncoder(rng, 1, 4, 8, 2, 0.2)
+	enc.SetTrain(true)
+	var ws tensor.Workspace
+	ws.Reset(enc.WorkspaceLen(3))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ForwardInPlace with training-mode dropout must panic")
+		}
+	}()
+	tensor.NoGrad(func() { enc.ForwardInPlace(&ws, tensor.Randn(rng, 1, 3, 4)) })
 }
 
 // TestSetCaptureScoresRecordsUnderNoGrad checks that attention maps are

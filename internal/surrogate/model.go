@@ -186,10 +186,16 @@ func (m *Model) SetTrain(train bool) { m.enc.SetTrain(train) }
 // column tensor of shape (l, 1).
 func (m *Model) normalizeSeq(seq []float64) *tensor.Tensor {
 	data := make([]float64, len(seq))
-	for i, x := range seq {
-		data[i] = (logT(x) - m.Norm.SeqMean) / nonzero(m.Norm.SeqStd)
-	}
+	m.normalizeSeqInto(data, seq)
 	return tensor.FromData(data, len(seq), 1)
+}
+
+// normalizeSeqInto writes the log-transformed, standardized window into dst
+// (length len(seq)).
+func (m *Model) normalizeSeqInto(dst, seq []float64) {
+	for i, x := range seq {
+		dst[i] = (logT(x) - m.Norm.SeqMean) / nonzero(m.Norm.SeqStd)
+	}
 }
 
 // logT is the log transform applied to interarrival times, guarded against
@@ -244,6 +250,70 @@ func (m *Model) EncodeSequence(seq []float64) *tensor.Tensor {
 	return m.postAtt.Forward(ep, ep, ep, nil) // Eq. 4
 }
 
+// workspaces recycles the tensor.Workspace arenas of tape-free inference
+// passes across calls and goroutines; each pass holds its own for its
+// duration, so concurrent sweeps on one model never share scratch.
+var workspaces sync.Pool
+
+// getWorkspace takes a workspace from the pool, reset to hold floats
+// elements. The caller hands it back with workspaces.Put once nothing taken
+// from it is used any more.
+func getWorkspace(floats int) *tensor.Workspace {
+	ws, _ := workspaces.Get().(*tensor.Workspace)
+	if ws == nil {
+		ws = new(tensor.Workspace)
+	}
+	ws.Reset(floats)
+	return ws
+}
+
+// encodeLen returns the workspace floats encodeInto takes for an l-long
+// window: the normalized column and the embedded sequence, then the larger
+// of the encoder's scratch and the pooled vector's post-attention pass.
+func (m *Model) encodeLen(l int) int {
+	d := m.Cfg.EmbedDim
+	return l + l*d + max(m.enc.WorkspaceLen(l), 2*d+m.postAtt.WorkspaceLen(1))
+}
+
+// encodeInto is the tape-free sequence branch: it writes the (1 × d)
+// encoding EncodeSequence would return into dst (length d), running every
+// stage — embedding, positional encoding, the encoder stack, mean pooling
+// and the post-pooling attention — in place on flat buffers taken from ws
+// (which must hold encodeLen(len(seq)) floats beyond its current fill), so a
+// steady-state encode allocates nothing. Each stage performs the tape op's
+// arithmetic in the same order, so dst is bit-identical to
+// EncodeSequence(seq) — pinned by TestEncodeMatchesTape and
+// FuzzEncodeMatchesTape. The model must be in evaluation mode. NoGrad only.
+//
+//deepbat:nograd
+//deepbat:hotpath
+func (m *Model) encodeInto(ws *tensor.Workspace, dst, seq []float64) {
+	l, d := len(seq), m.Cfg.EmbedDim
+	if l == 0 {
+		panic("surrogate: empty sequence")
+	}
+	mark := ws.Mark()
+	x := ws.Take(l, 1)
+	m.normalizeSeqInto(x.Data, seq)
+	e := m.embed.ForwardInto(ws.Take(l, d), x)  // (l, d), Eq. 1
+	m.pos.ForwardInPlace(e)                     // + positional encoding
+	m.enc.ForwardInPlace(ws, e)                 // Eq. 2
+	ep := tensor.MeanRowsInto(ws.Take(1, d), e) // mean pooling -> (1, d)
+	if !m.Cfg.DisablePostAttention {
+		ep = m.postAtt.SelfForwardInto(ws, ws.Take(1, d), ep) // Eq. 4
+	}
+	copy(dst, ep.Data)
+	ws.Release(mark)
+}
+
+// encode runs encodeInto in a workspace of its own from the pool, for
+// callers that encode independent sequences concurrently. NoGrad only.
+func (m *Model) encode(dst, seq []float64) {
+	ws := getWorkspace(m.encodeLen(len(seq)))
+	m.encodeInto(ws, dst, seq)
+	workspaces.Put(ws)
+}
+
 // headForward combines an encoded sequence with a candidate configuration
 // and produces the scaled output vector (still on the tape).
 func (m *Model) headForward(e1 *tensor.Tensor, cfg lambda.Config) *tensor.Tensor {
@@ -251,10 +321,13 @@ func (m *Model) headForward(e1 *tensor.Tensor, cfg lambda.Config) *tensor.Tensor
 	return m.outFF.Forward(tensor.ConcatCols(e1, e2)) // Eq. 6
 }
 
-// gridScratch recycles the intermediate matrices of batched head passes
-// across sweeps; a steady-state grid sweep allocates O(1) tensors instead of
-// O(K). Safe for concurrent sweeps (sync.Pool underneath).
-var gridScratch tensor.ScratchPool
+// headLen returns the workspace floats headForwardBatch takes for n rows:
+// its output, the feature-branch output and the concatenated rows, plus the
+// larger hidden activation of the two feed-forward blocks.
+func (m *Model) headLen(n int) int {
+	d := m.Cfg.EmbedDim
+	return n*(m.Cfg.OutputDim()+3*d) + max(m.featFF.WorkspaceLen(n), m.outFF.WorkspaceLen(n))
+}
 
 // headForwardBatch is the row-batched headForward: e1Rows (n × d) holds one
 // sequence encoding per row and feats (n × 3) one standardized candidate
@@ -262,21 +335,23 @@ var gridScratch tensor.ScratchPool
 // rows of a matrix product are computed independently with the same
 // fixed-order summation, so row i is bit-identical to
 // headForward(e1Rows[i], cfg[i]) — pinned by TestPredictGridMatchesPredict.
-// The returned tensor is owned by pool; the caller must Put it back.
-// NoGrad only.
+// The result and the intermediates come from ws (headLen(n) floats); the
+// result stays valid until ws is released past it. NoGrad only.
 //
 //deepbat:nograd
-func (m *Model) headForwardBatch(pool *tensor.ScratchPool, e1Rows, feats *tensor.Tensor) *tensor.Tensor {
+//deepbat:hotpath
+func (m *Model) headForwardBatch(ws *tensor.Workspace, e1Rows, feats *tensor.Tensor) *tensor.Tensor {
 	n, d := feats.Rows(), m.Cfg.EmbedDim
-	e2 := m.featFF.ForwardScratch(pool, feats) // Eq. 5, all rows at once
-	cat := pool.Get(n, 2*d)                    // rows [e1_i | e2_i], as ConcatCols builds them
+	out := ws.Take(n, m.Cfg.OutputDim())
+	mark := ws.Mark()
+	e2 := m.featFF.ForwardInto(ws, ws.Take(n, d), feats) // Eq. 5, all rows at once
+	cat := ws.Take(n, 2*d)                               // rows [e1_i | e2_i], as ConcatCols builds them
 	for i := 0; i < n; i++ {
 		copy(cat.Data[i*2*d:i*2*d+d], e1Rows.Data[i*d:(i+1)*d])
 		copy(cat.Data[i*2*d+d:(i+1)*2*d], e2.Data[i*d:(i+1)*d])
 	}
-	pool.Put(e2)
-	out := m.outFF.ForwardScratch(pool, cat) // Eq. 6, all rows at once
-	pool.Put(cat)
+	m.outFF.ForwardInto(ws, out, cat) // Eq. 6, all rows at once
+	ws.Release(mark)
 	return out
 }
 
@@ -360,12 +435,13 @@ func (m *Model) Predict(seq []float64, cfg lambda.Config) Prediction {
 // PredictGrid encodes the sequence once and evaluates every candidate
 // configuration against the shared encoding — the fast path that lets
 // DeepBAT sweep the whole grid in milliseconds (Section III-D/IV-F). The
-// sweep runs tape-free and row-batched: all K candidate feature rows are
-// stacked into one (K, 3) matrix, the feature branch and output head run as
-// row-batched GEMMs against a broadcast of the shared encoding, and all K
-// predictions decode from one output matrix. Intermediates come from a
-// scratch pool, so a steady-state sweep allocates O(1) tensors instead of
-// O(K). Each output row is bit-identical to the per-candidate Predict path.
+// sweep runs tape-free: the sequence branch runs in place (encodeInto), all
+// K candidate feature rows are stacked into one (K, 3) matrix, the feature
+// branch and output head run as row-batched GEMMs against a broadcast of the
+// shared encoding, and all K predictions decode from one output matrix.
+// Every intermediate lives in one pooled workspace, so a steady-state sweep
+// allocates only its result. Each output row is bit-identical to the
+// per-candidate Predict path.
 //
 //deepbat:nograd
 func (m *Model) PredictGrid(seq []float64, cfgs []lambda.Config) []Prediction {
@@ -373,20 +449,19 @@ func (m *Model) PredictGrid(seq []float64, cfgs []lambda.Config) []Prediction {
 	if len(cfgs) == 0 {
 		return out
 	}
+	k, d := len(cfgs), m.Cfg.EmbedDim
+	ws := getWorkspace(k*(d+3) + max(m.encodeLen(len(seq)), m.headLen(k)))
 	tensor.NoGrad(func() {
-		e1 := m.EncodeSequence(seq)
-		k, d := len(cfgs), m.Cfg.EmbedDim
-		e1Rows := gridScratch.Get(k, d)
-		feats := gridScratch.Get(k, 3)
+		e1Rows := ws.Take(k, d)
+		feats := ws.Take(k, 3)
+		m.encodeInto(ws, e1Rows.Data[:d], seq)
 		for i, cfg := range cfgs {
-			copy(e1Rows.Data[i*d:(i+1)*d], e1.Data)
+			copy(e1Rows.Data[i*d:(i+1)*d], e1Rows.Data[:d])
 			m.normalizeFeaturesRow(feats.Data[i*3:(i+1)*3], cfg)
 		}
-		o := m.headForwardBatch(&gridScratch, e1Rows, feats)
-		gridScratch.Put(e1Rows, feats)
-		m.decodeRows(o, cfgs, out)
-		gridScratch.Put(o)
+		m.decodeRows(m.headForwardBatch(ws, e1Rows, feats), cfgs, out)
 	})
+	workspaces.Put(ws)
 	return out
 }
 

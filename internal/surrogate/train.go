@@ -275,23 +275,23 @@ func (m *Model) FineTune(data *Dataset, cfg TrainConfig) (*History, error) {
 }
 
 // forwardRows encodes every sample of d concurrently (sequence encodes are
-// independent), stacks the encodings and standardized feature rows, and runs
-// one batched head pass, returning the (N × OutputDim) scaled output matrix.
-// The result is owned by gridScratch; the caller must Put it back. Row i is
-// bit-identical to Forward(d.Samples[i]). Must run inside tensor.NoGrad.
-func (m *Model) forwardRows(d *Dataset) *tensor.Tensor {
+// independent, each in its own pooled workspace), stacks the encodings and
+// standardized feature rows, runs one batched head pass, and hands the
+// (N × OutputDim) scaled output matrix to use. The matrix lives in a pooled
+// workspace and is valid only until use returns. Row i is bit-identical to
+// Forward(d.Samples[i]). Must run inside tensor.NoGrad.
+func (m *Model) forwardRows(d *Dataset, use func(out *tensor.Tensor)) {
 	n, dim := d.Len(), m.Cfg.EmbedDim
-	e1Rows := gridScratch.Get(n, dim)
-	feats := gridScratch.Get(n, 3)
+	ws := getWorkspace(n*(dim+3) + m.headLen(n))
+	e1Rows := ws.Take(n, dim)
+	feats := ws.Take(n, 3)
 	parallelFor(n, func(i int) {
 		s := d.Samples[i]
-		e := m.EncodeSequence(s.Seq)
-		copy(e1Rows.Data[i*dim:(i+1)*dim], e.Data)
+		m.encode(e1Rows.Data[i*dim:(i+1)*dim], s.Seq)
 		m.normalizeFeaturesRow(feats.Data[i*3:(i+1)*3], s.Config)
 	})
-	out := m.headForwardBatch(&gridScratch, e1Rows, feats)
-	gridScratch.Put(e1Rows, feats)
-	return out
+	use(m.headForwardBatch(ws, e1Rows, feats))
+	workspaces.Put(ws)
 }
 
 // EvalLoss computes the mean combined loss over a dataset without updating
@@ -306,20 +306,20 @@ func (m *Model) EvalLoss(d *Dataset, cfg TrainConfig) float64 {
 	}
 	var total float64
 	tensor.NoGrad(func() {
-		out := m.forwardRows(d)
-		w := m.Cfg.OutputDim()
-		for i, s := range d.Samples {
-			pred := tensor.FromData(out.Data[i*w:(i+1)*w], w)
-			target := tensor.FromData(m.scaleTarget(s.Target), len(s.Target))
-			weights := loss.SLOWeights(s.Target, cfg.SLO, cfg.Loss)
-			l := loss.Combined(pred, target, cfg.Loss, weights)
-			//lint:allow floatcompare SampleWeight returns the literal 1.0 for unpenalized samples; bit equality skips a no-op Scale
-			if wgt := loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss); wgt != 1 {
-				l = tensor.Scale(l, wgt)
+		m.forwardRows(d, func(out *tensor.Tensor) {
+			w := m.Cfg.OutputDim()
+			for i, s := range d.Samples {
+				pred := tensor.FromData(out.Data[i*w:(i+1)*w], w)
+				target := tensor.FromData(m.scaleTarget(s.Target), len(s.Target))
+				weights := loss.SLOWeights(s.Target, cfg.SLO, cfg.Loss)
+				l := loss.Combined(pred, target, cfg.Loss, weights)
+				//lint:allow floatcompare SampleWeight returns the literal 1.0 for unpenalized samples; bit equality skips a no-op Scale
+				if wgt := loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss); wgt != 1 {
+					l = tensor.Scale(l, wgt)
+				}
+				total += l.Item()
 			}
-			total += l.Item()
-		}
-		gridScratch.Put(out)
+		})
 	})
 	return total / float64(d.Len())
 }
@@ -333,14 +333,12 @@ func (m *Model) predictAll(d *Dataset) []Prediction {
 	if d.Len() == 0 {
 		return preds
 	}
+	cfgs := make([]lambda.Config, d.Len())
+	for i, s := range d.Samples {
+		cfgs[i] = s.Config
+	}
 	tensor.NoGrad(func() {
-		out := m.forwardRows(d)
-		cfgs := make([]lambda.Config, d.Len())
-		for i, s := range d.Samples {
-			cfgs[i] = s.Config
-		}
-		m.decodeRows(out, cfgs, preds)
-		gridScratch.Put(out)
+		m.forwardRows(d, func(out *tensor.Tensor) { m.decodeRows(out, cfgs, preds) })
 	})
 	return preds
 }

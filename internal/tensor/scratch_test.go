@@ -44,35 +44,49 @@ func TestInPlaceOpsMatchAllocatingOps(t *testing.T) {
 	a := Randn(rng, 1, 7, 5)
 	b := Randn(rng, 1, 5, 9)
 	bias := Randn(rng, 1, 9)
+	other := Randn(rng, 3, 7, 9)
+	gain := Randn(rng, 1, 9)
 	// Include a negative zero and a negative entry for the ReLU edge cases.
 	a.Data[0] = math.Copysign(0, -1)
 	a.Data[1] = -2.5
 
-	var gotMM, gotAdd, gotRelu []float64
+	got := map[string][]float64{}
+	snap := func(name string, x *Tensor) { got[name] = append([]float64(nil), x.Data...) }
 	NoGrad(func() {
 		dst := New(7, 9)
-		MatMulInto(dst, a, b)
-		gotMM = append([]float64(nil), dst.Data...)
-		AddRowInPlace(dst, bias)
-		gotAdd = append([]float64(nil), dst.Data...)
-		ReLUInPlace(dst)
-		gotRelu = append([]float64(nil), dst.Data...)
+		snap("MatMulInto", MatMulInto(dst, a, b))
+		snap("AddRowInPlace", AddRowInPlace(dst, bias))
+		snap("ReLUInPlace", ReLUInPlace(dst))
+		snap("AddInPlace", AddInPlace(dst, other))
+		snap("ScaleInPlace", ScaleInPlace(dst, 0.37))
+		snap("MeanRowsInto", MeanRowsInto(New(1, 9), dst))
+		snap("LayerNormInPlace", LayerNormInPlace(dst, gain, bias, 1e-5))
+		snap("SoftmaxInPlace", SoftmaxInPlace(dst))
 	})
 
-	wantMM := MatMul(a, b)
-	wantAdd := AddRow(wantMM, bias)
-	wantRelu := ReLU(wantAdd)
-	check := func(name string, got, want []float64) {
-		t.Helper()
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: cell %d = %v, want %v (bitwise)", name, i, got[i], want[i])
+	mm := MatMul(a, b)
+	addRow := AddRow(mm, bias)
+	relu := ReLU(addRow)
+	add := Add(relu, other)
+	scale := Scale(add, 0.37)
+	ln := LayerNorm(scale, gain, bias, 1e-5)
+	want := map[string]*Tensor{
+		"MatMulInto":       mm,
+		"AddRowInPlace":    addRow,
+		"ReLUInPlace":      relu,
+		"AddInPlace":       add,
+		"ScaleInPlace":     scale,
+		"MeanRowsInto":     MeanRows(scale),
+		"LayerNormInPlace": ln,
+		"SoftmaxInPlace":   Softmax(ln),
+	}
+	for name, w := range want {
+		for i := range w.Data {
+			if math.Float64bits(got[name][i]) != math.Float64bits(w.Data[i]) {
+				t.Fatalf("%s: cell %d = %v, want %v (bitwise)", name, i, got[name][i], w.Data[i])
 			}
 		}
 	}
-	check("MatMulInto", gotMM, wantMM.Data)
-	check("AddRowInPlace", gotAdd, wantAdd.Data)
-	check("ReLUInPlace", gotRelu, wantRelu.Data)
 }
 
 // TestInPlaceOpsPanicInGradMode pins the guard that keeps mutating ops off
@@ -81,10 +95,15 @@ func TestInPlaceOpsPanicInGradMode(t *testing.T) {
 	a := New(2, 2)
 	b := New(2, 2)
 	for name, fn := range map[string]func(){
-		"MatMulInto":    func() { MatMulInto(New(2, 2), a, b) },
-		"AddRowInPlace": func() { AddRowInPlace(a, New(2)) },
-		"ReLUInPlace":   func() { ReLUInPlace(a) },
-		"ScratchGet":    func() { var p ScratchPool; p.Get(2, 2) },
+		"MatMulInto":       func() { MatMulInto(New(2, 2), a, b) },
+		"AddRowInPlace":    func() { AddRowInPlace(a, New(2)) },
+		"ReLUInPlace":      func() { ReLUInPlace(a) },
+		"AddInPlace":       func() { AddInPlace(a, b) },
+		"ScaleInPlace":     func() { ScaleInPlace(a, 2) },
+		"SoftmaxInPlace":   func() { SoftmaxInPlace(a) },
+		"LayerNormInPlace": func() { LayerNormInPlace(a, New(2), New(2), 1e-5) },
+		"MeanRowsInto":     func() { MeanRowsInto(New(1, 2), a) },
+		"WorkspaceTake":    func() { var w Workspace; w.Reset(4); w.Take(2, 2) },
 	} {
 		func() {
 			defer func() {
@@ -97,28 +116,49 @@ func TestInPlaceOpsPanicInGradMode(t *testing.T) {
 	}
 }
 
-// TestScratchPoolReuse checks that Put-then-Get hands the same backing
-// buffer out again (for equal sizes) and that shapes are respected.
-func TestScratchPoolReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race; reuse is not guaranteed")
-	}
-	var p ScratchPool
+// TestWorkspaceReuse checks the arena contract: Take carves consecutive,
+// correctly shaped tensors; Release hands the storage after a Mark out
+// again; a Reset to a size the workspace already holds reuses its buffer;
+// a steady-state Take/Release cycle allocates nothing; and taking more than
+// was reserved panics instead of growing.
+func TestWorkspaceReuse(t *testing.T) {
+	var w Workspace
 	NoGrad(func() {
-		t1 := p.Get(4, 3)
+		w.Reset(24)
+		t1 := w.Take(4, 3)
 		if t1.Rows() != 4 || t1.Cols() != 3 || len(t1.Data) != 12 {
-			t.Fatalf("bad scratch shape %v len %d", t1.Shape, len(t1.Data))
+			t.Fatalf("bad workspace shape %v len %d", t1.Shape, len(t1.Data))
 		}
-		first := &t1.Data[0]
-		p.Put(t1)
-		t2 := p.Get(3, 4)
-		if len(t2.Data) != 12 {
-			t.Fatalf("bad reshaped scratch len %d", len(t2.Data))
+		mark := w.Mark()
+		t2 := w.Take(3, 4)
+		if &t2.Data[0] == &t1.Data[0] || cap(t1.Data) != 12 {
+			t.Fatal("consecutive takes must not overlap")
 		}
-		if &t2.Data[0] != first {
-			t.Fatalf("scratch buffer was not reused")
+		first := &t2.Data[0]
+		w.Release(mark)
+		t3 := w.Take(2, 6)
+		if &t3.Data[0] != first || t3.Rows() != 2 || t3.Cols() != 6 {
+			t.Fatalf("released storage was not handed out again (shape %v)", t3.Shape)
 		}
-		p.Put(t2)
+		w.Reset(8)
+		if t4 := w.Take(2, 4); &t4.Data[0] != &t1.Data[0] {
+			t.Fatal("Reset within capacity must reuse the buffer")
+		}
+		w.Reset(24)
+		if allocs := testing.AllocsPerRun(10, func() {
+			m := w.Mark()
+			w.Take(4, 3)
+			w.Take(3, 4)
+			w.Release(m)
+		}); allocs != 0 {
+			t.Fatalf("steady-state Take/Release allocates %.1f/op", allocs)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Take beyond the reserved floats must panic")
+			}
+		}()
+		w.Take(5, 5)
 	})
 }
 

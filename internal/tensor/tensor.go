@@ -498,20 +498,30 @@ func getPackBuf(n int) *[]float64 {
 }
 
 // matmulIntoWorkers is matmulInto with an explicit worker count (exposed
-// for the parallel-vs-serial property tests). Large products route through
-// the packed blocked kernel (gemm.Blocked), small ones through the naive
-// reference kernel (gemm.Naive); the two are bit-identical, so the dispatch
-// threshold affects speed only. The packed copy of B is shared read-only
-// across the row-range workers and pooled across calls.
+// for the parallel-vs-serial property tests). Products that gemm.UseBlocked
+// selects (wide outputs or large volumes) route through the packed blocked
+// kernel (gemm.Blocked), the rest through the naive reference kernel
+// (gemm.Naive); the two are bit-identical, so the dispatch rule affects
+// speed only. The packed copy of B is shared read-only across the row-range
+// workers and pooled across calls. A single worker calls the kernel
+// directly, so a serial product allocates no worker closure.
 func matmulIntoWorkers(dst, a, b []float64, n, k, m, workers int) {
-	if n*k*m >= gemm.BlockedThreshold {
+	if gemm.UseBlocked(n, k, m) {
 		buf := getPackBuf(gemm.PackedLen(k, m))
 		gemm.Pack(*buf, b, k, m)
-		//lint:allow hotpath-alloc one worker closure per large product, amortized over its n×k×m flops
-		rowBlocks(n, workers, func(lo, hi int) {
-			gemm.Blocked(dst, a, *buf, lo, hi, k, m)
-		})
+		if workers <= 1 {
+			gemm.Blocked(dst, a, *buf, 0, n, k, m)
+		} else {
+			//lint:allow hotpath-alloc one worker closure per large product, amortized over its n×k×m flops
+			rowBlocks(n, workers, func(lo, hi int) {
+				gemm.Blocked(dst, a, *buf, lo, hi, k, m)
+			})
+		}
 		packPool.Put(buf)
+		return
+	}
+	if workers <= 1 {
+		matmulRows(dst, a, b, 0, n, k, m)
 		return
 	}
 	//lint:allow hotpath-alloc one worker closure per product, amortized over its n×k×m flops
