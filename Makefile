@@ -24,6 +24,10 @@ GO ?= go
 # scheduling perturbation).
 RACE_PKGS = ./internal/tensor/... ./internal/gemm/... ./internal/surrogate/... ./internal/batchopt/... ./internal/gateway/... ./internal/fault/... ./internal/obs/... ./internal/loadgen/... ./internal/analysis/... ./internal/workload/... ./internal/replay/... ./internal/sweep/... ./internal/qsim/... ./internal/fleet/...
 
+# SERVING_PKGS are the packages that serve or replay requests through the
+# gateway; CI and `make race` run them at -cpu 1,2,4.
+SERVING_PKGS = ./internal/gateway/ ./internal/fleet/ ./internal/replay/ ./internal/loadgen/
+
 # Per-package coverage floors enforced by `make cover` (see the cover target).
 COVER_FLOOR_GATEWAY = 80
 COVER_FLOOR_FAULT   = 90
@@ -56,18 +60,18 @@ test: verify
 ## The gateway is additionally run with the poolcheck build tag, which
 ## poisons recycled waiters on put and panics on double-put, unconsumed
 ## responses, or dirty reuse — pool-hygiene bugs the race detector alone
-## cannot see.
+## cannot see. The serving packages also run at 1, 2 and 4 cores, so the
+## batching contract is checked at every core count, not only the machine's.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -tags poolcheck ./internal/gateway/
+	$(GO) test -race -tags poolcheck -cpu 1,2,4 $(SERVING_PKGS)
 	$(GO) test -race -run 'WorkerInvariance' ./internal/experiments/
 
 ## bench: regenerate the benchmark regression snapshot (BENCH_5.json),
 ## including speedup/alloc ratios against the previous snapshot. Asserts the
 ## instrumented-training overhead budget, the zero-alloc pooled admit path,
-## the sharded-dispatch speedup floor, and the sweep engine's byte-identity
-## (plus its 8-worker speedup floor on 8+ CPU machines); non-zero exit on
-## violation.
+## and the sweep engine's byte-identity (plus its 8-worker speedup floor on
+## 8+ CPU machines); non-zero exit on violation.
 bench:
 	$(GO) run ./cmd/bench -out BENCH_5.json -baseline BENCH_4.json
 

@@ -48,7 +48,7 @@ func main() {
 	slo := flag.Float64("slo", 0.1, "latency SLO in seconds")
 	decideEvery := flag.Duration("decide-every", 5*time.Second, "control period")
 	timeScale := flag.Float64("time-scale", 1.0, "backend wall-clock scale (0 = instant)")
-	shards := flag.Int("shards", 0, "batcher shard count (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "batcher shard count (0 = 1; with P > 1, B counts per shard)")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	demo := flag.Bool("demo", false, "self-drive synthetic traffic and exit")
 	demoRate := flag.Float64("demo-rate", 100, "demo traffic rate (req/s)")

@@ -37,7 +37,7 @@ import (
 func main() {
 	loop := flag.String("loop", "closed", "traffic loop: closed | open")
 	planPath := flag.String("plan", "", "fleet plan JSON file: drive a multi-class fleet with per-class Poisson streams (open loop)")
-	shards := flag.Int("shards", 0, "gateway shard count (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "gateway shard count (0 = 1; with P > 1, B counts per shard)")
 	sweepList := flag.String("sweep", "", "comma-separated shard counts to sweep (overrides -shards)")
 	workers := flag.Int("workers", 0, "open-loop sweep fan-out workers (0 = GOMAXPROCS; rows are identical at any count)")
 	clients := flag.Int("clients", 8, "closed-loop concurrent clients")
@@ -50,7 +50,6 @@ func main() {
 	batch := flag.Int("batch", 1, "serving configuration: batch size B")
 	timeout := flag.Float64("timeout", 0.01, "serving configuration: batch timeout T seconds (closed loop)")
 	faultRate := flag.Float64("fault-error-rate", 0, "injected backend failure probability")
-	legacy := flag.Bool("legacy", false, "drive the channel-per-request Enqueue path instead of the pooled path")
 	assert := flag.Bool("assert", false, "exit 1 unless goodput > 0 and no request failed (CI smoke)")
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func main() {
 		RateRPS:        *rate,
 		Seed:           *seed,
 		FaultErrorRate: *faultRate,
-		Legacy:         *legacy,
 	}
 	if *loop == "open" && cfg.Requests == 0 {
 		cfg.Requests = 5000
@@ -194,17 +192,13 @@ func parseSweep(s string) []int {
 }
 
 func printHeader() {
-	fmt.Printf("%-7s %7s %7s %9s %8s %12s %12s %9s %9s %9s %12s\n",
-		"mode", "shards", "path", "requests", "failed",
+	fmt.Printf("%-7s %7s %9s %8s %12s %12s %9s %9s %9s %12s\n",
+		"mode", "shards", "requests", "failed",
 		"throughput", "goodput", "p50_ms", "p95_ms", "p99_ms", "cost_usd")
 }
 
 func printRow(r loadgen.Report) {
-	path := "pooled"
-	if r.Legacy {
-		path = "legacy"
-	}
-	fmt.Printf("%-7s %7d %7s %9d %8d %12.1f %12.1f %9.3f %9.3f %9.3f %12.6f\n",
-		r.Mode, r.Shards, path, r.Requests, r.Failed,
+	fmt.Printf("%-7s %7d %9d %8d %12.1f %12.1f %9.3f %9.3f %9.3f %12.6f\n",
+		r.Mode, r.Shards, r.Requests, r.Failed,
 		r.ThroughputRPS, r.GoodputRPS, r.P50MS, r.P95MS, r.P99MS, r.TotalCostUSD)
 }

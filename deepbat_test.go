@@ -84,6 +84,9 @@ func TestSystemReplayWithAllDeciders(t *testing.T) {
 		if len(res.Latencies()) != len(tr.Timestamps) {
 			t.Fatalf("%s served %d of %d", dec.Name(), len(res.Latencies()), len(tr.Timestamps))
 		}
+		if res.Decisions == 0 {
+			t.Fatalf("%s made no decisions", dec.Name())
+		}
 	}
 }
 
@@ -114,23 +117,6 @@ func TestFineTune(t *testing.T) {
 	ood := fastTrace(t, "synthetic", 1)
 	if err := sys.FineTune(ood, 40); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFrameworkIntegration(t *testing.T) {
-	sys := trainFast(t)
-	tr := fastTrace(t, "twitter", 1)
-	fw, err := sys.NewFramework(Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw.DecidePeriodS = 10
-	fw.Run(tr.Timestamps)
-	if len(fw.Records) != len(tr.Timestamps) {
-		t.Fatalf("framework served %d of %d", len(fw.Records), len(tr.Timestamps))
-	}
-	if fw.Reconfigurations == 0 {
-		t.Fatal("framework never reconfigured")
 	}
 }
 

@@ -2,18 +2,19 @@
 // direction the paper cites as the multi-class successor of BATCH): a speech
 // model with a 100 ms SLO on a diurnal workload and a lightweight vision
 // model with a 50 ms SLO on a steadier stream. Each class gets its own
-// DeepBAT controller; the coordinator demultiplexes the mixed request stream
-// and reports per-class outcomes.
+// DeepBAT controller and replays its own stream; the per-class outcomes are
+// reported side by side. (Live multi-class serving, with SLO-merged function
+// groups behind one front door, is internal/fleet.)
 package main
 
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"deepbat"
-	"deepbat/internal/core"
-	"deepbat/internal/fleet"
 	"deepbat/internal/lambda"
+	"deepbat/internal/stats"
 )
 
 func main() {
@@ -35,46 +36,41 @@ func main() {
 	speechSys := trainFor(speechTrace, lambda.Profiles["nlp-base"], 0.1)
 	visionSys := trainFor(visionTrace, lambda.Profiles["cnn-small"], 0.05)
 
-	opts := core.ReplayOptions{
+	opts := deepbat.ReplayOptions{
 		PeriodS:       10,
 		DecideEvery:   1,
 		LookbackS:     40,
 		InitialConfig: deepbat.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05},
 	}
-	coord, err := fleet.NewCoordinator([]fleet.Class{
-		{
-			Name:    "speech",
-			Profile: lambda.Profiles["nlp-base"],
-			Pricing: deepbat.DefaultPricing(),
-			SLO:     0.1,
-			Decider: speechSys.Decider(),
-			Options: opts,
-		},
-		{
-			Name:    "vision",
-			Profile: lambda.Profiles["cnn-small"],
-			Pricing: deepbat.DefaultPricing(),
-			SLO:     0.05,
-			Decider: visionSys.Decider(),
-			Options: opts,
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
+	classes := []struct {
+		name string
+		sys  *deepbat.System
+		tr   *deepbat.Trace
+	}{
+		{"speech", speechSys, speechTrace},
+		{"vision", visionSys, visionTrace},
 	}
-
-	stream := fleet.MixStreams(map[string][]float64{
-		"speech": speechTrace.Timestamps,
-		"vision": visionTrace.Timestamps,
-	})
-	fmt.Printf("replaying a mixed stream of %d requests across 2 classes...\n\n", len(stream))
-	sum, err := coord.Replay(stream)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Printf("replaying %d requests across %d classes...\n\n",
+		len(speechTrace.Timestamps)+len(visionTrace.Timestamps), len(classes))
+	var requests int
+	var cost, worst, weighted float64
+	for _, c := range classes {
+		opts.SLO = c.sys.Opts.SLO
+		res, err := c.sys.Replay(c.tr.Timestamps, c.sys.Decider(), opts)
+		if err != nil {
+			log.Fatalf("class %s: %v", c.name, err)
+		}
+		n, vcr := len(res.Latencies()), res.VCR()
+		p95, _ := stats.Percentile(res.Latencies(), 95)
+		fmt.Printf("%-12s requests=%-7d VCR=%6.2f%%  P95=%6.1fms  cost=%.3fu$/req\n",
+			c.name, n, vcr, p95*1000, res.CostPerRequest()*1e6)
+		requests += n
+		cost += res.TotalCost()
+		worst = math.Max(worst, vcr)
+		weighted += vcr * float64(n)
 	}
-	fmt.Print(sum.VCRTable())
 	fmt.Printf("\noverall: %d requests, worst-class VCR %.2f%%, mean VCR %.2f%%, %.3f micro-USD/request\n",
-		sum.Requests, sum.WorstVCR, sum.MeanVCR, sum.CostPerRequest()*1e6)
+		requests, worst, weighted/float64(requests), cost/float64(requests)*1e6)
 }
 
 // trainFor trains a small per-class surrogate against the class profile.

@@ -1,7 +1,7 @@
-// Serving: run the full Fig. 2 pipeline — Workload Parser, Buffer, Deep
-// Surrogate + Optimizer, simulated Lambda — as an event-driven framework
-// over a diurnal workload, and compare it against a statically configured
-// deployment of the same application.
+// Serving: run the Fig. 2 control loop — the DeepBAT surrogate optimizer
+// re-planning (M, B, T) every control period over the count-or-timeout
+// buffer on simulated Lambda — across a diurnal workload, and compare it
+// against a statically configured deployment of the same application.
 package main
 
 import (
@@ -37,33 +37,43 @@ func main() {
 	}
 
 	initial := deepbat.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05}
+	ropts := deepbat.ReplayOptions{
+		PeriodS:       10,
+		DecideEvery:   1,
+		LookbackS:     60,
+		InitialConfig: initial,
+		SLO:           slo,
+	}
 
-	// DeepBAT-controlled framework: the parser feeds the optimizer, which
-	// reconfigures the buffer and function every 10 simulated seconds.
-	fw, err := sys.NewFramework(initial)
+	// DeepBAT-controlled serving: every 10 simulated seconds the optimizer
+	// re-plans (M, B, T) from the last minute of interarrivals.
+	fmt.Printf("serving %d requests under DeepBAT control...\n", len(serveTrace.Timestamps))
+	dyn, err := sys.Replay(serveTrace.Timestamps, sys.Decider(), ropts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fw.DecidePeriodS = 10
-	fmt.Printf("serving %d requests through the framework...\n", len(serveTrace.Timestamps))
-	fw.Run(serveTrace.Timestamps)
 
 	// Static deployment for comparison: same initial config, never adapted.
-	static, err := sys.NewFramework(initial)
+	static, err := sys.Replay(serveTrace.Timestamps, sys.Static(initial), ropts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	static.Reconfigure = nil
-	static.Run(serveTrace.Timestamps)
 
-	report := func(name string, lat []float64, cost float64, reconf int) {
-		p95, _ := stats.Percentile(lat, 95)
+	report := func(name string, res *deepbat.ReplayResult) {
+		reconfigs, cur := 0, initial
+		for _, p := range res.Periods {
+			if p.Config != cur {
+				reconfigs, cur = reconfigs+1, p.Config
+			}
+		}
+		p95, _ := stats.Percentile(res.Latencies(), 95)
 		fmt.Printf("%-22s P95 %6.1fms  VCR %6.2f%%  cost %.3f u$/req  reconfigs %d\n",
-			name, p95*1000, stats.VCR(lat, slo), cost/float64(len(lat))*1e6, reconf)
+			name, p95*1000, res.VCR(), res.CostPerRequest()*1e6, reconfigs)
 	}
 	fmt.Println()
-	report("DeepBAT framework:", fw.Latencies(), fw.TotalCost(), fw.Reconfigurations)
-	report("static deployment:", static.Latencies(), static.TotalCost(), static.Reconfigurations)
+	report("DeepBAT:", dyn)
+	report("static deployment:", static)
 
-	fmt.Printf("\nfinal DeepBAT configuration: %s\n", fw.Config())
+	last := dyn.Periods[len(dyn.Periods)-1]
+	fmt.Printf("\nfinal DeepBAT configuration: %s\n", last.Config)
 }

@@ -1,19 +1,13 @@
-// Package core assembles the DeepBAT framework of Fig. 2: a Workload Parser
-// that observes request arrivals and maintains the recent interarrival
-// window, a Buffer that accumulates requests and dispatches batches on
-// count-or-timeout, a serverless Platform abstraction, pluggable controllers
-// (DeepBAT's surrogate optimizer, the BATCH analytical baseline, a
-// ground-truth oracle, and static configurations), and a replay Engine that
-// drives full traces through the system with periodic reconfiguration while
-// accounting latency, cost, SLO violations (VCR), and decision time.
+// Package core holds the control side of DeepBAT's Fig. 2 pipeline: a
+// Workload Parser that observes request arrivals and maintains the recent
+// interarrival window, pluggable controllers (DeepBAT's surrogate optimizer,
+// the BATCH analytical baseline, a ground-truth oracle, and static
+// configurations), and a replay Engine that drives full traces through the
+// qsim batching model with periodic reconfiguration while accounting
+// latency, cost, SLO violations (VCR), and decision time. The count-or-
+// timeout buffer itself is served by internal/gateway (on the wall clock,
+// or on a virtual clock through internal/replay) and modelled by qsim.
 package core
-
-import (
-	"errors"
-	"fmt"
-
-	"deepbat/internal/lambda"
-)
 
 // ---------------------------------------------------------------------------
 // Workload Parser
@@ -73,258 +67,4 @@ func (p *WorkloadParser) Window() []float64 {
 		out[i] = p.ring[(start+i)%p.capacity]
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Buffer
-// ---------------------------------------------------------------------------
-
-// Request is one inference request flowing through the framework.
-type Request struct {
-	ID       int
-	ArriveAt float64
-}
-
-// DispatchedBatch is a batch released by the Buffer.
-type DispatchedBatch struct {
-	Requests   []Request
-	DispatchAt float64
-	// ByTimeout reports whether the timeout (rather than the batch filling)
-	// triggered the dispatch.
-	ByTimeout bool
-}
-
-// Buffer accumulates requests and releases batches when the batch size is
-// reached or the timeout since the first buffered request expires.
-// Configuration changes apply to the batch that opens next.
-type Buffer struct {
-	b        int
-	t        float64
-	pending  []Request
-	deadline float64
-	// batch parameters captured when the current batch opened
-	curB int
-	curT float64
-}
-
-// NewBuffer returns a buffer with the given initial batching parameters.
-func NewBuffer(batchSize int, timeoutS float64) *Buffer {
-	if batchSize < 1 || timeoutS < 0 {
-		panic(fmt.Sprintf("core: invalid buffer parameters B=%d T=%g", batchSize, timeoutS))
-	}
-	return &Buffer{b: batchSize, t: timeoutS}
-}
-
-// SetConfig updates the batching parameters for subsequently opened batches.
-func (bf *Buffer) SetConfig(batchSize int, timeoutS float64) {
-	if batchSize < 1 || timeoutS < 0 {
-		return
-	}
-	bf.b = batchSize
-	bf.t = timeoutS
-}
-
-// Len returns the number of buffered requests.
-func (bf *Buffer) Len() int { return len(bf.pending) }
-
-// Deadline returns the dispatch deadline of the open batch, if any.
-func (bf *Buffer) Deadline() (float64, bool) {
-	if len(bf.pending) == 0 {
-		return 0, false
-	}
-	return bf.deadline, true
-}
-
-// Add inserts a request and returns a dispatched batch if the insertion
-// filled it. Callers must first drain any expired deadline via Expire.
-func (bf *Buffer) Add(req Request) (DispatchedBatch, bool) {
-	if len(bf.pending) == 0 {
-		bf.curB = bf.b
-		bf.curT = bf.t
-		bf.deadline = req.ArriveAt + bf.curT
-	}
-	bf.pending = append(bf.pending, req)
-	if len(bf.pending) >= bf.curB {
-		return bf.release(req.ArriveAt, false), true
-	}
-	return DispatchedBatch{}, false
-}
-
-// Expire dispatches the open batch if its deadline is at or before now.
-func (bf *Buffer) Expire(now float64) (DispatchedBatch, bool) {
-	if len(bf.pending) == 0 || bf.deadline > now {
-		return DispatchedBatch{}, false
-	}
-	return bf.release(bf.deadline, true), true
-}
-
-// Flush force-dispatches any buffered requests at their deadline (used at
-// end of trace).
-func (bf *Buffer) Flush() (DispatchedBatch, bool) {
-	if len(bf.pending) == 0 {
-		return DispatchedBatch{}, false
-	}
-	return bf.release(bf.deadline, true), true
-}
-
-func (bf *Buffer) release(at float64, byTimeout bool) DispatchedBatch {
-	batch := DispatchedBatch{
-		Requests:   bf.pending,
-		DispatchAt: at,
-		ByTimeout:  byTimeout,
-	}
-	bf.pending = nil
-	return batch
-}
-
-// ---------------------------------------------------------------------------
-// Platform
-// ---------------------------------------------------------------------------
-
-// Platform executes a dispatched batch under a configuration and reports its
-// execution duration (seconds) and invocation cost (USD).
-type Platform interface {
-	Invoke(cfg lambda.Config, batchSize int) (duration, cost float64)
-}
-
-// SimLambda is the simulated AWS Lambda platform with deterministic service
-// times and the pay-as-you-go pricing model.
-type SimLambda struct {
-	Profile lambda.Profile
-	Pricing lambda.Pricing
-}
-
-// Invoke implements Platform.
-func (s SimLambda) Invoke(cfg lambda.Config, batchSize int) (duration, cost float64) {
-	duration = s.Profile.ServiceTime(cfg.MemoryMB, batchSize)
-	cost = s.Pricing.InvocationCost(cfg.MemoryMB, duration)
-	return duration, cost
-}
-
-// ---------------------------------------------------------------------------
-// Framework
-// ---------------------------------------------------------------------------
-
-// RequestRecord is the per-request outcome of a framework run.
-type RequestRecord struct {
-	ID         int
-	ArriveAt   float64
-	DispatchAt float64
-	Latency    float64
-	Cost       float64 // this request's share of the invocation cost
-}
-
-// ReconfigureFunc maps the parser's recent window to a new configuration.
-// Returning an error keeps the current configuration (e.g. when a baseline
-// cannot fit the window yet).
-type ReconfigureFunc func(window []float64) (lambda.Config, error)
-
-// Framework wires parser, buffer, controller, and platform into the
-// request/control flow of Fig. 2.
-type Framework struct {
-	Parser   *WorkloadParser
-	Buffer   *Buffer
-	Platform Platform
-	// Reconfigure is invoked every DecidePeriodS seconds of trace time once
-	// the parser holds a full window; nil disables reconfiguration.
-	Reconfigure   ReconfigureFunc
-	DecidePeriodS float64
-
-	cfg        lambda.Config
-	nextDecide float64
-
-	// Records accumulates one entry per served request.
-	Records []RequestRecord
-	// Reconfigurations counts applied configuration changes.
-	Reconfigurations int
-}
-
-// NewFramework assembles a framework starting from cfg.
-func NewFramework(platform Platform, parserWindow int, cfg lambda.Config) (*Framework, error) {
-	if !cfg.Valid() {
-		return nil, errors.New("core: invalid initial configuration " + cfg.String())
-	}
-	return &Framework{
-		Parser:        NewWorkloadParser(parserWindow),
-		Buffer:        NewBuffer(cfg.BatchSize, cfg.TimeoutS),
-		Platform:      platform,
-		DecidePeriodS: 10,
-		cfg:           cfg,
-	}, nil
-}
-
-// Config returns the active configuration.
-func (f *Framework) Config() lambda.Config { return f.cfg }
-
-// applyBatch executes a dispatched batch and records per-request outcomes.
-func (f *Framework) applyBatch(b DispatchedBatch) {
-	if len(b.Requests) == 0 {
-		return
-	}
-	dur, cost := f.Platform.Invoke(f.cfg, len(b.Requests))
-	per := cost / float64(len(b.Requests))
-	for _, r := range b.Requests {
-		f.Records = append(f.Records, RequestRecord{
-			ID:         r.ID,
-			ArriveAt:   r.ArriveAt,
-			DispatchAt: b.DispatchAt,
-			Latency:    b.DispatchAt - r.ArriveAt + dur,
-			Cost:       per,
-		})
-	}
-}
-
-// OnRequest advances simulated time to ts, processing any expired buffer
-// deadline and any due reconfiguration, then admits the request.
-func (f *Framework) OnRequest(req Request) {
-	// Drain timeouts that fired before this arrival.
-	if batch, ok := f.Buffer.Expire(req.ArriveAt); ok {
-		f.applyBatch(batch)
-	}
-	// Periodic control.
-	if f.Reconfigure != nil && req.ArriveAt >= f.nextDecide && f.Parser.Full() {
-		if cfg, err := f.Reconfigure(f.Parser.Window()); err == nil && cfg.Valid() {
-			f.cfg = cfg
-			f.Buffer.SetConfig(cfg.BatchSize, cfg.TimeoutS)
-			f.Reconfigurations++
-		}
-		f.nextDecide = req.ArriveAt + f.DecidePeriodS
-	}
-	f.Parser.Observe(req.ArriveAt)
-	if batch, ok := f.Buffer.Add(req); ok {
-		f.applyBatch(batch)
-	}
-}
-
-// Finish flushes the buffer at end of trace.
-func (f *Framework) Finish() {
-	if batch, ok := f.Buffer.Flush(); ok {
-		f.applyBatch(batch)
-	}
-}
-
-// Run replays a full timestamp trace through the framework.
-func (f *Framework) Run(arrivals []float64) {
-	for i, ts := range arrivals {
-		f.OnRequest(Request{ID: i, ArriveAt: ts})
-	}
-	f.Finish()
-}
-
-// Latencies returns the recorded per-request latencies.
-func (f *Framework) Latencies() []float64 {
-	out := make([]float64, len(f.Records))
-	for i, r := range f.Records {
-		out[i] = r.Latency
-	}
-	return out
-}
-
-// TotalCost returns the total USD cost across all invocations.
-func (f *Framework) TotalCost() float64 {
-	var s float64
-	for _, r := range f.Records {
-		s += r.Cost
-	}
-	return s
 }

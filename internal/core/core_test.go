@@ -1,17 +1,12 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"deepbat/internal/lambda"
 	"deepbat/internal/qsim"
 	"deepbat/internal/trace"
 )
-
-func platform() SimLambda {
-	return SimLambda{Profile: lambda.DefaultProfile(), Pricing: lambda.DefaultPricing()}
-}
 
 func TestWorkloadParserWindow(t *testing.T) {
 	p := NewWorkloadParser(3)
@@ -65,140 +60,6 @@ func TestParserPanicsOnBadCapacity(t *testing.T) {
 		}
 	}()
 	NewWorkloadParser(0)
-}
-
-func TestBufferFillByCount(t *testing.T) {
-	b := NewBuffer(2, 10)
-	if _, ok := b.Add(Request{ID: 0, ArriveAt: 1}); ok {
-		t.Fatal("batch dispatched too early")
-	}
-	batch, ok := b.Add(Request{ID: 1, ArriveAt: 2})
-	if !ok || len(batch.Requests) != 2 || batch.DispatchAt != 2 || batch.ByTimeout {
-		t.Fatalf("batch = %+v ok=%v", batch, ok)
-	}
-	if b.Len() != 0 {
-		t.Fatal("buffer not drained")
-	}
-}
-
-func TestBufferExpire(t *testing.T) {
-	b := NewBuffer(5, 0.5)
-	b.Add(Request{ID: 0, ArriveAt: 1})
-	if _, ok := b.Expire(1.4); ok {
-		t.Fatal("expired before deadline")
-	}
-	batch, ok := b.Expire(1.6)
-	if !ok || !batch.ByTimeout || batch.DispatchAt != 1.5 {
-		t.Fatalf("expire = %+v ok=%v", batch, ok)
-	}
-}
-
-func TestBufferConfigAppliesToNextBatch(t *testing.T) {
-	b := NewBuffer(3, 1)
-	b.Add(Request{ID: 0, ArriveAt: 0})
-	b.SetConfig(1, 0.1) // open batch keeps B=3, T=1
-	if _, ok := b.Add(Request{ID: 1, ArriveAt: 0.2}); ok {
-		t.Fatal("config change must not affect open batch")
-	}
-	batch, ok := b.Expire(1.0)
-	if !ok || len(batch.Requests) != 2 {
-		t.Fatalf("open batch = %+v", batch)
-	}
-	// New batch uses B=1: dispatches immediately.
-	if _, ok := b.Add(Request{ID: 2, ArriveAt: 2}); !ok {
-		t.Fatal("new config not applied to next batch")
-	}
-}
-
-func TestBufferFlushAndDeadline(t *testing.T) {
-	b := NewBuffer(4, 0.3)
-	if _, ok := b.Deadline(); ok {
-		t.Fatal("empty buffer has no deadline")
-	}
-	if _, ok := b.Flush(); ok {
-		t.Fatal("empty buffer flush")
-	}
-	b.Add(Request{ID: 0, ArriveAt: 2})
-	if d, ok := b.Deadline(); !ok || math.Abs(d-2.3) > 1e-12 {
-		t.Fatalf("deadline = %v ok=%v", d, ok)
-	}
-	batch, ok := b.Flush()
-	if !ok || len(batch.Requests) != 1 {
-		t.Fatalf("flush = %+v", batch)
-	}
-}
-
-func TestBufferRejectsInvalidConfig(t *testing.T) {
-	b := NewBuffer(2, 1)
-	b.SetConfig(0, -1) // ignored
-	b.Add(Request{ID: 0, ArriveAt: 0})
-	if _, ok := b.Add(Request{ID: 1, ArriveAt: 0.1}); !ok {
-		t.Fatal("valid config was overwritten by invalid one")
-	}
-}
-
-func TestFrameworkMatchesQsimWithStaticConfig(t *testing.T) {
-	// The framework's event loop must agree exactly with the reference
-	// simulator when the configuration never changes.
-	tr := trace.MustGenerate(trace.Spec{Name: "twitter", Hours: 1, HourSeconds: 30, Seed: 9})
-	cfg := lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05}
-	fw, err := NewFramework(platform(), 32, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw.Run(tr.Timestamps)
-
-	sim := qsim.New(lambda.DefaultProfile(), lambda.DefaultPricing())
-	ref, err := sim.Run(tr.Timestamps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fw.Records) != len(ref.Latencies) {
-		t.Fatalf("framework served %d, simulator %d", len(fw.Records), len(ref.Latencies))
-	}
-	// Records are in dispatch order, simulator latencies in arrival order;
-	// match by request ID.
-	for _, rec := range fw.Records {
-		if math.Abs(rec.Latency-ref.Latencies[rec.ID]) > 1e-9 {
-			t.Fatalf("request %d latency %v vs simulator %v", rec.ID, rec.Latency, ref.Latencies[rec.ID])
-		}
-	}
-	if math.Abs(fw.TotalCost()-ref.TotalCost) > 1e-12 {
-		t.Fatalf("cost %v vs simulator %v", fw.TotalCost(), ref.TotalCost)
-	}
-}
-
-func TestFrameworkReconfigures(t *testing.T) {
-	tr := trace.MustGenerate(trace.Spec{Name: "twitter", Hours: 1, HourSeconds: 30, Seed: 9})
-	cfg := lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05}
-	fw, err := NewFramework(platform(), 16, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := lambda.Config{MemoryMB: 1024, BatchSize: 8, TimeoutS: 0.1}
-	fw.DecidePeriodS = 5
-	fw.Reconfigure = func(window []float64) (lambda.Config, error) {
-		if len(window) != 16 {
-			t.Errorf("reconfigure window length = %d", len(window))
-		}
-		return target, nil
-	}
-	fw.Run(tr.Timestamps)
-	if fw.Reconfigurations == 0 {
-		t.Fatal("no reconfigurations applied")
-	}
-	if fw.Config() != target {
-		t.Fatalf("final config = %v", fw.Config())
-	}
-	if len(fw.Latencies()) != len(tr.Timestamps) {
-		t.Fatal("not all requests served")
-	}
-}
-
-func TestFrameworkInvalidInitialConfig(t *testing.T) {
-	if _, err := NewFramework(platform(), 8, lambda.Config{}); err == nil {
-		t.Fatal("expected error")
-	}
 }
 
 func TestEngineReplayStatic(t *testing.T) {

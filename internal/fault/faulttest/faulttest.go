@@ -28,13 +28,14 @@ import (
 )
 
 // Step is one scripted action. Within a step the order is fixed: advance
-// the clock, enqueue, force a decision, await responses.
+// the clock, submit, force a decision, await responses.
 type Step struct {
 	// AdvanceS moves the manual clock forward by this many seconds.
 	AdvanceS float64
-	// Enqueue submits this many requests (their completion channels are
-	// queued in arrival order).
-	Enqueue int
+	// Submit admits this many requests (their completion handles are
+	// queued in arrival order). A request that fills its batch executes the
+	// batch synchronously before the next is admitted.
+	Submit int
 	// Decide forces one synchronous control decision (DecideNow).
 	Decide bool
 	// Await receives this many responses, oldest outstanding first. Steps
@@ -60,10 +61,9 @@ type Scenario struct {
 	// Decide, when non-nil, is the inner decision function; Run wraps it
 	// with the plan's DecideErrorRate stream.
 	Decide func(window []float64) (lambda.Config, error)
-	// Shards is the gateway shard count (0 = 1). The harness defaults to a
-	// single shard — not GOMAXPROCS — because scenarios script batch fills
-	// by arrival count, which presumes one queue; multi-shard scenarios
-	// must opt in and route by hash.
+	// Shards is the gateway shard count (0 = the gateway's single queue).
+	// Scenarios script batch fills by arrival count, which presumes one
+	// queue; multi-shard scenarios must opt in and route by hash.
 	Shards int
 	Steps  []Step
 }
@@ -107,30 +107,30 @@ func Run(t *testing.T, s Scenario) Result {
 	if s.Decide != nil {
 		decide = inj.WrapDecide(s.Decide)
 	}
-	shards := s.Shards
-	if shards == 0 {
-		shards = 1
-	}
 	g, err := gateway.New(backend, decide, gateway.Config{
 		Initial:    s.Initial,
 		SLO:        s.SLO,
 		WindowLen:  s.WindowLen,
 		Clock:      clock,
 		Resilience: res,
-		Shards:     shards,
+		Shards:     s.Shards,
 	})
 	if err != nil {
 		t.Fatalf("scenario %q: %v", s.Name, err)
 	}
-	var queue []<-chan gateway.Response
+	var queue []gateway.Handle
 	var out Result
 	await := func(n int) {
 		for i := 0; i < n; i++ {
 			if len(queue) == 0 {
 				t.Fatalf("scenario %q: await with no outstanding requests", s.Name)
 			}
+			// Wait blocks until the batch dispatches; a mis-scripted step
+			// that awaits an unfilled batch fails here instead of hanging.
+			done := make(chan gateway.Response, 1)
+			go func(h gateway.Handle) { done <- h.Wait() }(queue[0])
 			select {
-			case resp := <-queue[0]:
+			case resp := <-done:
 				out.Responses = append(out.Responses, resp)
 			case <-time.After(awaitTimeout):
 				t.Fatalf("scenario %q: response %d never arrived", s.Name, len(out.Responses))
@@ -142,8 +142,8 @@ func Run(t *testing.T, s Scenario) Result {
 		if st.AdvanceS > 0 {
 			clock.Advance(st.AdvanceS)
 		}
-		for i := 0; i < st.Enqueue; i++ {
-			queue = append(queue, g.Enqueue())
+		for i := 0; i < st.Submit; i++ {
+			queue = append(queue, g.Submit())
 		}
 		if st.Decide {
 			g.DecideNow()

@@ -65,10 +65,10 @@ func runIsolation(t *testing.T, storm bool) (*fleet.Fleet, []byte, []byte) {
 	// inside the relaxed class's recorded series.
 	for i := 0; i < 10; i++ {
 		clock.Advance(0.01)
-		a := f.Enqueue(strict)
-		b := f.Enqueue(relaxed)
-		<-a
-		<-b
+		a := f.Submit(strict)
+		b := f.Submit(relaxed)
+		a.Wait()
+		b.Wait()
 	}
 	f.Stop()
 	var snap, ev bytes.Buffer
@@ -185,7 +185,7 @@ func TestFleetChaosFallbackKeepsServing(t *testing.T) {
 	strict := f.ClassIndex("strict")
 	for i := 0; i < 4; i++ {
 		clock.Advance(0.01)
-		<-f.Enqueue(strict)
+		f.Do(strict)
 	}
 	f.Stop()
 	st := f.GatewayFor(strict).Stats()

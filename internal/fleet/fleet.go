@@ -235,12 +235,6 @@ func (f *Fleet) Do(class int) gateway.Response {
 	return f.Submit(class).Wait()
 }
 
-// Enqueue routes one request on the channel-per-request path (the HTTP
-// handler's contract).
-func (f *Fleet) Enqueue(class int) <-chan gateway.Response {
-	return f.gws[f.byClass[class]].Enqueue()
-}
-
 // DecideNow forces one synchronous tuner decision on every group, in group
 // order — the deterministic way to drive the fast timescale.
 func (f *Fleet) DecideNow() {
@@ -388,23 +382,7 @@ func (f *Fleet) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "class parameter required", http.StatusBadRequest)
 		return
 	}
-	done := f.Enqueue(class)
-	select {
-	case resp := <-done:
-		w.Header().Set("Content-Type", "application/json")
-		switch resp.Error {
-		case "":
-		case gateway.ErrDeadlineExceeded.Error():
-			w.WriteHeader(http.StatusGatewayTimeout)
-		default:
-			w.WriteHeader(http.StatusBadGateway)
-		}
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			return // response already committed
-		}
-	case <-r.Context().Done():
-		http.Error(w, "client cancelled", http.StatusRequestTimeout)
-	}
+	gateway.WriteInferResponse(w, f.Do(class))
 }
 
 func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {

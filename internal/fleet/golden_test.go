@@ -3,7 +3,7 @@
 // pre-shard golden bytes exactly — same obs snapshot, same event stream.
 // The goldens live in internal/gateway/testdata/preshard/ and are the same
 // files TestPreShardGoldenBytes pins; this test replays the same scenarios
-// through fleet.Enqueue(0) instead of gateway.Enqueue().
+// through fleet.Submit(0) instead of gateway.Submit().
 package fleet_test
 
 import (
@@ -22,7 +22,7 @@ import (
 // goldenStep mirrors faulttest.Step for the fleet drive loop.
 type goldenStep struct {
 	advanceS float64
-	enqueue  int
+	submit   int
 	await    int
 }
 
@@ -51,7 +51,7 @@ func goldenCases() []goldenCase {
 					MaxRetries: 2, RetryBaseMS: 1, RetryMaxMS: 4, JitterSeed: 1,
 				},
 			},
-			steps: []goldenStep{{enqueue: 2, await: 2}},
+			steps: []goldenStep{{submit: 2, await: 2}},
 		},
 		{
 			name: "golden-breaker-lifecycle",
@@ -63,10 +63,10 @@ func goldenCases() []goldenCase {
 				},
 			},
 			steps: []goldenStep{
-				{enqueue: 1, await: 1},
-				{enqueue: 1, await: 1},
-				{enqueue: 1, await: 1},
-				{advanceS: 6, enqueue: 1, await: 1},
+				{submit: 1, await: 1},
+				{submit: 1, await: 1},
+				{submit: 1, await: 1},
+				{advanceS: 6, submit: 1, await: 1},
 			},
 		},
 		{
@@ -77,8 +77,8 @@ func goldenCases() []goldenCase {
 				Resilience: &fleet.ResilienceSpec{RequestTimeoutS: 1},
 			},
 			steps: []goldenStep{
-				{enqueue: 1},
-				{advanceS: 2, enqueue: 1, await: 2},
+				{submit: 1},
+				{advanceS: 2, submit: 1, await: 2},
 			},
 		},
 		{
@@ -98,9 +98,9 @@ func goldenCases() []goldenCase {
 				},
 			},
 			steps: []goldenStep{
-				{enqueue: 2, await: 2}, {enqueue: 2, await: 2},
-				{advanceS: 0.5, enqueue: 2, await: 2}, {enqueue: 2, await: 2},
-				{advanceS: 0.5, enqueue: 2, await: 2},
+				{submit: 2, await: 2}, {submit: 2, await: 2},
+				{advanceS: 0.5, submit: 2, await: 2}, {submit: 2, await: 2},
+				{advanceS: 0.5, submit: 2, await: 2},
 			},
 		},
 	}
@@ -126,13 +126,13 @@ func runGolden(t *testing.T, gc goldenCase) (snapshot, events []byte) {
 	if err != nil {
 		t.Fatalf("golden %q: %v", gc.name, err)
 	}
-	var queue []<-chan gateway.Response
+	var queue []gateway.Handle
 	await := func(n int) {
 		for i := 0; i < n; i++ {
 			if len(queue) == 0 {
 				t.Fatalf("golden %q: await with no outstanding requests", gc.name)
 			}
-			<-queue[0]
+			queue[0].Wait()
 			queue = queue[1:]
 		}
 	}
@@ -140,8 +140,8 @@ func runGolden(t *testing.T, gc goldenCase) (snapshot, events []byte) {
 		if st.advanceS > 0 {
 			clock.Advance(st.advanceS)
 		}
-		for i := 0; i < st.enqueue; i++ {
-			queue = append(queue, f.Enqueue(0))
+		for i := 0; i < st.submit; i++ {
+			queue = append(queue, f.Submit(0))
 		}
 		await(st.await)
 	}

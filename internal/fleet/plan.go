@@ -106,7 +106,8 @@ type ClassSpec struct {
 	// Initial is the serving configuration before any tuning
 	// (nil = 2048 MB, B=4, T=0.1 s, the replay default).
 	Initial *ConfigSpec `json:"initial,omitempty"`
-	// Shards is the class gateway's batcher shard count (0 = GOMAXPROCS).
+	// Shards is the class gateway's batcher shard count (0 = 1; with P > 1,
+	// B counts per shard).
 	Shards int `json:"shards,omitempty"`
 	// RateRPS is the class's mean arrival rate — the arrival source the
 	// fleet load generator drives (0 = no synthetic stream).

@@ -50,7 +50,7 @@ func TestChaosScenarios(t *testing.T) {
 				},
 				JitterSeed: 1,
 				SLO:        0.1,
-				Steps:      []faulttest.Step{{Enqueue: 2, Await: 2}},
+				Steps:      []faulttest.Step{{Submit: 2, Await: 2}},
 			},
 			check: func(t *testing.T, r faulttest.Result) {
 				if len(r.Responses) != 2 {
@@ -90,7 +90,7 @@ func TestChaosScenarios(t *testing.T) {
 				},
 				JitterSeed: 1,
 				SLO:        0.1,
-				Steps:      []faulttest.Step{{Enqueue: 2, Await: 2}},
+				Steps:      []faulttest.Step{{Submit: 2, Await: 2}},
 			},
 			check: func(t *testing.T, r faulttest.Result) {
 				for _, resp := range r.Responses {
@@ -126,10 +126,10 @@ func TestChaosScenarios(t *testing.T) {
 				},
 				SLO: 0.1,
 				Steps: []faulttest.Step{
-					{Enqueue: 1, Await: 1},              // fail 1
-					{Enqueue: 1, Await: 1},              // fail 2 -> breaker opens
-					{Enqueue: 1, Await: 1},              // open -> shed to fallback
-					{AdvanceS: 6, Enqueue: 1, Await: 1}, // half-open probe -> close
+					{Submit: 1, Await: 1},              // fail 1
+					{Submit: 1, Await: 1},              // fail 2 -> breaker opens
+					{Submit: 1, Await: 1},              // open -> shed to fallback
+					{AdvanceS: 6, Submit: 1, Await: 1}, // half-open probe -> close
 				},
 			},
 			check: func(t *testing.T, r faulttest.Result) {
@@ -174,8 +174,8 @@ func TestChaosScenarios(t *testing.T) {
 				},
 				SLO: 0.1,
 				Steps: []faulttest.Step{
-					{Enqueue: 1},
-					{AdvanceS: 2, Enqueue: 1, Await: 2},
+					{Submit: 1},
+					{AdvanceS: 2, Submit: 1, Await: 2},
 				},
 			},
 			check: func(t *testing.T, r faulttest.Result) {
@@ -213,7 +213,7 @@ func TestChaosScenarios(t *testing.T) {
 				},
 				SLO: 0.1,
 				Steps: []faulttest.Step{
-					{Enqueue: 2},
+					{Submit: 2},
 					{AdvanceS: 2},
 				},
 			},
@@ -250,9 +250,9 @@ func TestChaosScenarios(t *testing.T) {
 					return lambda.Config{MemoryMB: 1024, BatchSize: 2, TimeoutS: 0.01}, nil
 				},
 				Steps: []faulttest.Step{
-					{Enqueue: 3, Await: 3},
+					{Submit: 3, Await: 3},
 					{Decide: true},
-					{Enqueue: 1, Await: 1},
+					{Submit: 1, Await: 1},
 				},
 			},
 			check: func(t *testing.T, r faulttest.Result) {
@@ -286,7 +286,7 @@ func TestChaosScenarios(t *testing.T) {
 					return lambda.Config{MemoryMB: 1024, BatchSize: 1, TimeoutS: 0}, nil
 				},
 				Steps: []faulttest.Step{
-					{Enqueue: 3, Await: 3},
+					{Submit: 3, Await: 3},
 					{Decide: true},
 				},
 			},
@@ -321,11 +321,11 @@ func TestChaosScenarios(t *testing.T) {
 				JitterSeed: 99,
 				SLO:        0.1,
 				Steps: []faulttest.Step{
-					{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
-					{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
-					{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
-					{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
-					{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
+					{Submit: 2, Await: 2}, {Submit: 2, Await: 2},
+					{Submit: 2, Await: 2}, {Submit: 2, Await: 2},
+					{Submit: 2, Await: 2}, {Submit: 2, Await: 2},
+					{Submit: 2, Await: 2}, {Submit: 2, Await: 2},
+					{Submit: 2, Await: 2}, {Submit: 2, Await: 2},
 				},
 			},
 			check: func(t *testing.T, r faulttest.Result) {
@@ -369,7 +369,7 @@ func TestChaosNoLeakedGoroutines(t *testing.T) {
 		JitterSeed: 5,
 		SLO:        0.1,
 		Steps: []faulttest.Step{
-			{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
+			{Submit: 2, Await: 2}, {Submit: 2, Await: 2}, {Submit: 2, Await: 2},
 		},
 	}
 	baseline := runtime.NumGoroutine()
@@ -440,22 +440,21 @@ func TestChaosSoak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(stopAt) {
-				ch := g.Enqueue()
+				h := g.Submit()
 				mu.Lock()
 				sent++
 				mu.Unlock()
-				select {
-				case resp := <-ch:
-					mu.Lock()
-					answered++
-					if resp.Error != "" {
-						errored++
-					}
-					mu.Unlock()
-				case <-time.After(5 * time.Second):
+				resp, ok := gateway.WaitWithin(h, 5*time.Second)
+				if !ok {
 					t.Error("request never answered")
 					return
 				}
+				mu.Lock()
+				answered++
+				if resp.Error != "" {
+					errored++
+				}
+				mu.Unlock()
 			}
 		}()
 	}

@@ -13,10 +13,11 @@
 // The optimizer's configuration fans out to shards through an atomic
 // pointer; per-shard tallies merge in shard order, so deterministic drivers
 // see deterministic merged figures, and P = 1 reproduces the single-queue
-// gateway bit for bit (see testdata/preshard). The pooled Submit/Do path is
-// allocation-free at steady state; Enqueue keeps the original
-// channel-per-request contract for the HTTP handler and as the baseline the
-// gateway benchmarks compare against.
+// gateway bit for bit (see testdata/preshard). Sharding is opt-in: the zero
+// value serves one queue, the single buffer the optimizer's (M, B, T) was
+// scored against, and with P > 1 shards B counts per shard. Every request,
+// the /infer handler's included, takes the pooled Submit/Wait path, which is
+// allocation-free at steady state.
 //
 // The serving path is resilient to backend and controller faults
 // (internal/fault is the matching injection layer): failed invocations are
@@ -42,7 +43,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,10 +178,9 @@ type Config struct {
 	// Resilience configures retries, deadlines, and the circuit breaker.
 	Resilience Resilience
 	// Shards is the number of independent batcher shards intake is hashed
-	// across (0 = GOMAXPROCS). Shards = 1 reproduces the single-queue
-	// gateway bit for bit; batching-sensitive tests pin it. Each shard
-	// accumulates its own batches, so with P shards a size-B dispatch
-	// needs B same-shard arrivals, not B total.
+	// across (0 = 1, the single buffer qsim and the optimizer model). P > 1
+	// is an explicit opt-in: B counts per shard, so a size-B dispatch needs
+	// B same-shard arrivals, not B total.
 	Shards int
 	// VirtualTimers disables the wall-clock batch timeout timers. Instead
 	// of arming time.AfterFunc per opened batch, shards record the batch's
@@ -385,7 +384,6 @@ type Gateway struct {
 
 	stop    chan struct{}
 	loopWG  sync.WaitGroup // control loop
-	execWG  sync.WaitGroup // spawned batch executions
 	timerWG sync.WaitGroup // armed batch timers (fired or cancelled)
 }
 
@@ -402,7 +400,7 @@ func New(backend Backend, decide DecideFunc, conf Config) (*Gateway, error) {
 	}
 	nShards := conf.Shards
 	if nShards == 0 {
-		nShards = runtime.GOMAXPROCS(0)
+		nShards = 1
 	}
 	reg := conf.Obs
 	if reg == nil {
@@ -460,12 +458,11 @@ func (g *Gateway) Start() {
 }
 
 // Stop shuts the gateway down: it stops the control loop, flushes any
-// buffered requests (shard by shard, in shard order), and joins every
-// goroutine the gateway spawned — the control loop, in-flight batch
-// executions (whose remaining retry backoffs are skipped once stop is
-// signalled), and armed batch timers. It is idempotent. Callers should drain
-// their HTTP server first, so no new requests arrive concurrently with the
-// shutdown.
+// buffered requests (shard by shard, in shard order), skips the remaining
+// retry backoffs of in-flight batches, and joins every goroutine the gateway
+// spawned — the control loop and armed batch timers. It is idempotent.
+// Callers should drain their HTTP server first, so no new requests arrive
+// concurrently with the shutdown.
 func (g *Gateway) Stop() {
 	g.smu.Lock()
 	if g.stopped {
@@ -485,7 +482,6 @@ func (g *Gateway) Stop() {
 	}
 	g.loopWG.Wait()
 	g.timerWG.Wait()
-	g.execWG.Wait()
 	served := 0
 	for _, s := range g.shards {
 		s.mu.Lock()
@@ -681,25 +677,24 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	done := g.Enqueue()
-	select {
-	case resp := <-done:
-		w.Header().Set("Content-Type", "application/json")
-		switch resp.Error {
-		case "":
-		case ErrDeadlineExceeded.Error():
-			w.WriteHeader(http.StatusGatewayTimeout)
-		default:
-			w.WriteHeader(http.StatusBadGateway)
-		}
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			// The response was already committed; nothing sensible to do.
-			return
-		}
-	case <-r.Context().Done():
-		// Client went away; the batch result is discarded for this waiter.
-		http.Error(w, "client cancelled", http.StatusRequestTimeout)
+	WriteInferResponse(w, g.Do())
+}
+
+// WriteInferResponse writes one request's outcome as the /infer JSON body:
+// 200 on success, 504 when its deadline expired, 502 when the backend failed
+// after retries. The fleet front door answers with it too.
+func WriteInferResponse(w http.ResponseWriter, resp Response) {
+	w.Header().Set("Content-Type", "application/json")
+	switch resp.Error {
+	case "":
+	case ErrDeadlineExceeded.Error():
+		w.WriteHeader(http.StatusGatewayTimeout)
+	default:
+		w.WriteHeader(http.StatusBadGateway)
 	}
+	// An encode error means the client went away after the status was
+	// committed; there is no one left to tell.
+	_ = json.NewEncoder(w).Encode(resp)
 }
 
 // observeArrival feeds the interarrival parser. Skipped entirely without a
@@ -721,21 +716,6 @@ func (g *Gateway) admitShard() (s *shard, id int, now float64) {
 	id = int(g.lastID.Add(1))
 	g.observeArrival(now)
 	return g.shards[shardOf(uint64(id), len(g.shards))], id, now
-}
-
-// Enqueue submits one inference request, stamped with the gateway clock,
-// and returns its completion channel — the programmatic equivalent of
-// POST /infer, used by the HTTP handler and the chaos harness alike. Each
-// call allocates a fresh waiter and channel (the handler may abandon them on
-// client cancel) and dispatches full batches asynchronously; latency-
-// critical in-process callers should prefer the pooled Submit/Do path.
-func (g *Gateway) Enqueue() <-chan Response {
-	s, id, now := g.admitShard()
-	w := &waiter{id: id, arriveAt: now, ch: make(chan Response, 1)}
-	if batch, ac, cause := s.enqueueWaiter(w); batch != nil {
-		g.spawnExecute(s, batch, ac, cause)
-	}
-	return w.ch
 }
 
 // Handle is the pooled completion handle for one Submit-ed request. Wait
@@ -770,9 +750,9 @@ func (h Handle) Wait() Response {
 // waiter and returns its completion handle. When the request fills a batch
 // (B = 1, T = 0, or the size trigger), the batch executes synchronously on
 // the caller's goroutine — the submitting request pays for its own dispatch
-// instead of a handoff to a spawned goroutine. Unlike Enqueue, the caller
-// MUST consume the response via Handle.Wait (abandoning a handle leaks its
-// waiter from the pool).
+// instead of a handoff to a spawned goroutine. The caller MUST consume the
+// response via Handle.Wait (abandoning a handle leaks its waiter from the
+// pool).
 //
 //deepbat:hotpath
 func (g *Gateway) Submit() Handle {
@@ -787,8 +767,7 @@ func (g *Gateway) Submit() Handle {
 	return Handle{w: w, s: s}
 }
 
-// Do submits one request and waits for its response — the pooled,
-// allocation-free equivalent of draining Enqueue's channel.
+// Do submits one request and waits for its response — Submit().Wait().
 //
 //deepbat:hotpath
 func (g *Gateway) Do() Response {
@@ -835,16 +814,6 @@ func (g *Gateway) FlushDue() int {
 		}
 	}
 	return n
-}
-
-// spawnExecute runs a batch asynchronously, tracked by execWG.
-func (g *Gateway) spawnExecute(s *shard, batch []*waiter, ac *activeCfg, cause string) {
-	g.execWG.Add(1)
-	//lint:allow goroutine-discipline request-scoped batch execution; joined on each waiter's done channel by handleInfer and via execWG.Wait in Stop
-	go func() {
-		defer g.execWG.Done()
-		s.execute(batch, ac, cause, nil)
-	}()
 }
 
 // backoff returns the wait before retry attempt (0-based): exponential from

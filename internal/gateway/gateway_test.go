@@ -21,6 +21,20 @@ func fastBackend() SimulatedBackend {
 	}
 }
 
+// WaitWithin waits up to d for h's response and reports whether it arrived.
+// It is exported so the external chaos tests can share it; on a timeout the
+// helper goroutine stays parked on the handle until the test binary exits.
+func WaitWithin(h Handle, d time.Duration) (Response, bool) {
+	done := make(chan Response, 1)
+	go func() { done <- h.Wait() }()
+	select {
+	case resp := <-done:
+		return resp, true
+	case <-time.After(d):
+		return Response{}, false
+	}
+}
+
 func postInfer(t *testing.T, url string) Response {
 	t.Helper()
 	resp, err := http.Post(url+"/infer", "application/json", nil)
@@ -234,15 +248,14 @@ func TestCloseFlushesPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := g.Enqueue()
+	h := g.Submit()
 	g.Close()
-	select {
-	case resp := <-done:
-		if resp.BatchSize != 1 {
-			t.Fatalf("flushed batch size = %d", resp.BatchSize)
-		}
-	case <-time.After(time.Second):
+	resp, ok := WaitWithin(h, time.Second)
+	if !ok {
 		t.Fatal("Close did not flush the pending request")
+	}
+	if resp.BatchSize != 1 {
+		t.Fatalf("flushed batch size = %d", resp.BatchSize)
 	}
 	// Double close is safe.
 	g.Close()

@@ -161,9 +161,9 @@ func TestDispatchCauseCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := g3.Enqueue()
+	h := g3.Submit()
 	g3.Stop()
-	<-done
+	h.Wait()
 	c, err := g3.Obs().Counter("gateway_dispatch_flush_total", "")
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func goldenScenarios() []faulttest.Scenario {
 			},
 			JitterSeed: 1,
 			SLO:        0.1,
-			Steps:      []faulttest.Step{{Enqueue: 2, Await: 2}},
+			Steps:      []faulttest.Step{{Submit: 2, Await: 2}},
 		},
 		{
 			Name:    "golden-breaker-lifecycle",
@@ -53,10 +53,10 @@ func goldenScenarios() []faulttest.Scenario {
 			},
 			SLO: 0.1,
 			Steps: []faulttest.Step{
-				{Enqueue: 1, Await: 1},
-				{Enqueue: 1, Await: 1},
-				{Enqueue: 1, Await: 1},
-				{AdvanceS: 6, Enqueue: 1, Await: 1},
+				{Submit: 1, Await: 1},
+				{Submit: 1, Await: 1},
+				{Submit: 1, Await: 1},
+				{AdvanceS: 6, Submit: 1, Await: 1},
 			},
 		},
 		{
@@ -68,8 +68,8 @@ func goldenScenarios() []faulttest.Scenario {
 			},
 			SLO: 0.1,
 			Steps: []faulttest.Step{
-				{Enqueue: 1},
-				{AdvanceS: 2, Enqueue: 1, Await: 2},
+				{Submit: 1},
+				{AdvanceS: 2, Submit: 1, Await: 2},
 			},
 		},
 		{
@@ -91,9 +91,9 @@ func goldenScenarios() []faulttest.Scenario {
 			JitterSeed: 99,
 			SLO:        0.1,
 			Steps: []faulttest.Step{
-				{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
-				{AdvanceS: 0.5, Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
-				{AdvanceS: 0.5, Enqueue: 2, Await: 2},
+				{Submit: 2, Await: 2}, {Submit: 2, Await: 2},
+				{AdvanceS: 0.5, Submit: 2, Await: 2}, {Submit: 2, Await: 2},
+				{AdvanceS: 0.5, Submit: 2, Await: 2},
 			},
 		},
 	}

@@ -41,15 +41,12 @@ func (r *latRing) observe(v float64) {
 	r.n++
 }
 
-// waiter is one queued request. Pooled waiters (Submit/Do) carry a reusable
-// cap-1 response channel and are recycled through the shard free-list by
-// Handle.Wait; legacy waiters (Enqueue) are garbage-collected after their
-// channel is drained.
+// waiter is one queued request. Waiters carry a reusable cap-1 response
+// channel and are recycled through the shard free-list by Handle.Wait.
 type waiter struct {
 	id       int
 	arriveAt float64 // clock seconds
 	ch       chan Response
-	pooled   bool
 	// resp receives the response by direct write instead of a channel send
 	// when this waiter's own Submit dispatched the batch synchronously: the
 	// goroutine that runs execute is the one that reads resp in Wait, so no
@@ -156,7 +153,7 @@ func (s *shard) getWaiterLocked(id int, arriveAt float64) *waiter {
 		checkWaiterClean(w)
 	} else {
 		//lint:allow hotpath-alloc pool miss: early requests populate the free-list; steady state recycles and never reaches this branch
-		w = &waiter{ch: make(chan Response, 1), pooled: true}
+		w = &waiter{ch: make(chan Response, 1)}
 	}
 	w.id, w.arriveAt = id, arriveAt
 	return w
@@ -218,15 +215,9 @@ func (s *shard) recycleBatchLocked(batch []*waiter) {
 	}
 }
 
-// enqueueWaiter runs the admit→enqueue→dispatch decision for one request.
-// When the returned batch is non-nil the caller owns its dispatch (the
-// legacy channel path spawns, the pooled path executes synchronously).
-func (s *shard) enqueueWaiter(w *waiter) (batch []*waiter, ac *activeCfg, cause string) {
-	s.mu.Lock()
-	return s.enqueueWaiterLocked(w)
-}
-
-// enqueueWaiterLocked is enqueueWaiter with mu already held; it unlocks.
+// enqueueWaiterLocked runs the enqueue→dispatch decision for one admitted
+// request with mu held; it unlocks. When the returned batch is non-nil the
+// caller owns its dispatch.
 func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, cause string) {
 	g := s.g
 	if len(s.pending) == 0 {

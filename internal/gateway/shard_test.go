@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"deepbat/internal/lambda"
-	"deepbat/internal/obs"
 )
 
 // immediateConfig is the B = 1 steady-state serving configuration the pooled
@@ -293,48 +292,20 @@ func TestMultiShardTimersFlushIndependently(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Stop()
-	var chans []<-chan Response
+	var handles []Handle
 	for i := 0; i < 9; i++ {
-		chans = append(chans, g.Enqueue())
+		handles = append(handles, g.Submit())
 	}
-	for i, ch := range chans {
-		select {
-		case resp := <-ch:
-			if resp.Error != "" {
-				t.Fatalf("request %d failed: %s", i, resp.Error)
-			}
-		case <-time.After(5 * time.Second):
+	for i, h := range handles {
+		resp, ok := WaitWithin(h, 5*time.Second)
+		if !ok {
 			t.Fatalf("request %d never flushed", i)
+		}
+		if resp.Error != "" {
+			t.Fatalf("request %d failed: %s", i, resp.Error)
 		}
 	}
 	if st := g.Stats(); st.Served != 9 {
 		t.Fatalf("served %d, want 9", st.Served)
-	}
-}
-
-// TestEnqueueAndDoAgreeAtP1 runs the same traffic through the legacy
-// channel path and the pooled path on single-shard gateways and checks the
-// externally visible accounting is identical — the pooled path changes
-// mechanics, not semantics.
-func TestEnqueueAndDoAgreeAtP1(t *testing.T) {
-	run := func(pooled bool) Stats {
-		conf := immediateConfig(1)
-		conf.Clock = &obs.ManualClock{} // freeze latency so runs compare exactly
-		g, err := New(fastBackend(), nil, conf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 50; i++ {
-			if pooled {
-				g.Do()
-			} else {
-				<-g.Enqueue()
-			}
-		}
-		g.Stop()
-		return g.Stats()
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("legacy and pooled paths diverge:\nlegacy: %+v\npooled: %+v", a, b)
 	}
 }

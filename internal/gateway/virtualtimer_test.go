@@ -114,3 +114,46 @@ func TestVirtualTimersStopStillFlushes(t *testing.T) {
 		t.Fatalf("stop flush response = %+v", r)
 	}
 }
+
+// TestReconfigureAppliesToNextBatch pins when a new (M, B, T) takes effect:
+// the open batch keeps the parameters it opened under (its B and its
+// timeout deadline), the next batch uses the new ones, and an invalid
+// configuration is rejected without touching the active one.
+func TestReconfigureAppliesToNextBatch(t *testing.T) {
+	clock := &obs.ManualClock{}
+	old := lambda.Config{MemoryMB: 2048, BatchSize: 3, TimeoutS: 1}
+	g := newVirtualGateway(t, clock, old)
+	defer g.Stop()
+
+	h1 := g.Submit()
+	next := lambda.Config{MemoryMB: 1024, BatchSize: 1, TimeoutS: 0.1}
+	if err := g.Reconfigure(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Reconfigure(lambda.Config{}); err == nil {
+		t.Fatal("invalid configuration accepted")
+	}
+	if g.Config() != next {
+		t.Fatalf("active config = %v, want %v", g.Config(), next)
+	}
+
+	clock.Set(0.2)
+	h2 := g.Submit() // joins the open B=3 batch instead of dispatching alone
+	if d, ok := g.NextFlushDeadline(); !ok || d != 1 {
+		t.Fatalf("open batch deadline = %v (ok=%v), want the old T's 1", d, ok)
+	}
+	clock.Set(1)
+	if n := g.FlushDue(); n != 1 {
+		t.Fatalf("FlushDue dispatched %d batches, want 1", n)
+	}
+	for i, h := range []gateway.Handle{h1, h2} {
+		if r := h.Wait(); r.BatchSize != 2 || r.Config != old.String() {
+			t.Fatalf("request %d served as %+v, want a batch of 2 under %s", i, r, old)
+		}
+	}
+
+	clock.Set(2)
+	if r := g.Do(); r.BatchSize != 1 || r.Config != next.String() {
+		t.Fatalf("next batch served as %+v, want B=1 under %s", r, next)
+	}
+}

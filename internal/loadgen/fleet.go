@@ -30,8 +30,8 @@ type FleetResult struct {
 // fully deterministic: same plan + Config, byte-identical FleetResult.
 //
 // Config fields used: Requests (total across classes, required), Seed, and
-// Assignment-free plan defaults; Clients, Duration, RateRPS, FaultErrorRate,
-// and Legacy do not apply to the fleet loop.
+// Assignment-free plan defaults; Clients, Duration, RateRPS and
+// FaultErrorRate do not apply to the fleet loop.
 func RunFleetOpen(p fleet.Plan, c Config) (FleetResult, error) {
 	if c.Requests <= 0 {
 		return FleetResult{}, errors.New("loadgen: fleet open loop needs Requests")
@@ -105,11 +105,9 @@ func RunFleetOpen(p fleet.Plan, c Config) (FleetResult, error) {
 	for ci := range parts {
 		r := parts[ci].report("open", c, f.GatewayFor(ci).Shards(), elapsed, costs[ci])
 		r.Class = p.Classes[ci].Name
-		r.Legacy = false
 		res.PerClass = append(res.PerClass, r)
 	}
 	res.Total = total.report("open", c, 0, elapsed, f.Stats().TotalCostUSD)
-	res.Total.Legacy = false
 	return res, nil
 }
 

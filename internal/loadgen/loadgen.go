@@ -33,7 +33,8 @@ import (
 type Config struct {
 	// Initial is the serving configuration (zero value: 2048 MB, B=1).
 	Initial lambda.Config
-	// Shards is the gateway shard count (0 = GOMAXPROCS).
+	// Shards is the gateway shard count (0 = 1; with P > 1, B counts per
+	// shard).
 	Shards int
 	// SLO is the latency objective goodput is judged against, in seconds.
 	SLO float64
@@ -52,10 +53,6 @@ type Config struct {
 	// FaultErrorRate injects backend failures at this rate (0 = none),
 	// seeded by Seed, through a fault.FaultyBackend.
 	FaultErrorRate float64
-	// Legacy drives the channel-per-request Enqueue path instead of the
-	// pooled Submit/Do path — the baseline the sharded zero-alloc path is
-	// compared against.
-	Legacy bool
 }
 
 // Report is the outcome of one run. All latency figures are milliseconds on
@@ -66,7 +63,6 @@ type Report struct {
 	// runs and for fleet totals).
 	Class         string  `json:"class,omitempty"`
 	Shards        int     `json:"shards"`
-	Legacy        bool    `json:"legacy"`
 	Requests      int     `json:"requests"` // issued
 	Served        int     `json:"served"`   // answered without error
 	Failed        int     `json:"failed"`   // answered with an error
@@ -136,7 +132,6 @@ func (t *tally) report(mode string, c Config, shards int, elapsedS, costUSD floa
 	r := Report{
 		Mode:         mode,
 		Shards:       shards,
-		Legacy:       c.Legacy,
 		Requests:     t.served + t.failed,
 		Served:       t.served,
 		Failed:       t.failed,
@@ -185,13 +180,7 @@ func RunClosed(c Config) (Report, error) {
 				if !deadline.IsZero() && !time.Now().Before(deadline) {
 					return
 				}
-				var resp gateway.Response
-				if c.Legacy {
-					resp = <-g.Enqueue()
-				} else {
-					resp = g.Do()
-				}
-				t.observe(resp, sloMS)
+				t.observe(g.Do(), sloMS)
 			}
 		}(&parts[w])
 	}
@@ -235,26 +224,18 @@ func RunOpen(c Config) (Report, error) {
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	handles := make([]gateway.Handle, 0, c.Requests)
-	var legacy []<-chan gateway.Response
 	for i := 0; i < c.Requests; i++ {
 		if i > 0 {
 			clock.Advance(rng.ExpFloat64() / c.RateRPS)
 		}
-		if c.Legacy {
-			legacy = append(legacy, g.Enqueue())
-		} else {
-			handles = append(handles, g.Submit())
-		}
+		handles = append(handles, g.Submit())
 	}
 	elapsed := clock.Now()
-	g.Stop() // flush partial batches; joins the legacy path's executors
+	g.Stop() // flush partial batches
 	var merged tally
 	sloMS := c.SLO * 1000
 	for _, h := range handles {
 		merged.observe(h.Wait(), sloMS)
-	}
-	for _, ch := range legacy {
-		merged.observe(<-ch, sloMS)
 	}
 	if elapsed <= 0 {
 		// Degenerate single-arrival runs: report over one interarrival so

@@ -34,16 +34,6 @@ func TestClosedLoopServesEverything(t *testing.T) {
 	}
 }
 
-func TestClosedLoopLegacyPath(t *testing.T) {
-	r, err := RunClosed(Config{SLO: 1, Clients: 2, Requests: 25, Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Legacy || r.Served != 50 || r.Failed != 0 {
-		t.Fatalf("legacy run wrong: %+v", r)
-	}
-}
-
 func TestClosedLoopDurationBound(t *testing.T) {
 	r, err := RunClosed(Config{SLO: 1, Clients: 2, Duration: 50 * time.Millisecond})
 	if err != nil {

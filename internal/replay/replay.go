@@ -43,9 +43,9 @@ type Config struct {
 	// T=0.1 s — a batching configuration, so the virtual-timer path is
 	// actually exercised).
 	Initial lambda.Config
-	// Shards is the gateway shard count (0 = GOMAXPROCS). Reports are
-	// deterministic at any value; they change with it, so comparable runs
-	// pin it.
+	// Shards is the gateway shard count (0 = 1; with P > 1, B counts per
+	// shard). Reports are deterministic at any value; they change with it,
+	// so comparable runs pin it.
 	Shards int
 	// SLO is the latency objective goodput and violations are judged
 	// against, in seconds (0 = no goodput accounting).
