@@ -90,13 +90,16 @@ loadgen-smoke:
 ## codec (never panics, and any plan the canonical decoder accepts must
 ## re-encode bit-identically); FuzzEncodeMatchesTape and
 ## FuzzPredictGridMatchesPredict hold the tape-free encoder and the batched
-## grid sweep bit-identical to the tape path.
+## grid sweep bit-identical to the tape path; FuzzGatewayMatchesQsim holds the
+## virtual-clock gateway to qsim per request on traces with tied and
+## on-deadline arrivals.
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=20s -run='^$$' ./internal/qsim
 	$(GO) test -fuzz=FuzzDecode -fuzztime=20s -run='^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzPlanValidate -fuzztime=20s -run='^$$' ./internal/fleet
 	$(GO) test -fuzz='^FuzzEncodeMatchesTape$$' -fuzztime=15s -run='^$$' ./internal/surrogate
 	$(GO) test -fuzz='^FuzzPredictGridMatchesPredict$$' -fuzztime=15s -run='^$$' ./internal/surrogate
+	$(GO) test -fuzz='^FuzzGatewayMatchesQsim$$' -fuzztime=15s -run='^$$' ./internal/replay
 
 ## replay-smoke: CI check for the workload-zoo replay path — generate a
 ## small azure tracev1 (digest-verified), replay it twice through the real

@@ -1,11 +1,12 @@
 // Package gateway is a real-time HTTP front-end for DeepBAT: the
 // On-Top-of-Platform deployment of Fig. 2 running on the wall clock instead
 // of simulated time. Inference requests POSTed to /infer are accumulated in
-// a batching buffer (dispatch on batch size B or timeout T), executed on a
-// pluggable serverless backend, and answered individually; a background
-// control loop feeds the recent interarrival window to a decision function
-// (the DeepBAT optimizer, or any other controller) and live-reconfigures
-// (M, B, T).
+// the count-or-timeout buffer lambda.Batcher defines (the state machine qsim
+// simulates, so the gateway serves the buffer the optimizer scored),
+// executed on a pluggable serverless backend, and answered individually; a
+// background control loop feeds the recent interarrival window to a
+// decision function (the DeepBAT optimizer, or any other controller) and
+// live-reconfigures (M, B, T).
 //
 // Intake is sharded: request IDs hash (seed-stable splitmix64) onto P
 // independent batcher shards, each with its own queue, batch timer, circuit
@@ -155,7 +156,9 @@ type Resilience struct {
 
 // Config parameterizes a Gateway.
 type Config struct {
-	// Initial is the configuration served before the first decision.
+	// Initial is the configuration served before the first decision. Each
+	// batch is served under the configuration active when it opened;
+	// lambda.Batcher states the batching rule.
 	Initial lambda.Config
 	// SLO is the latency objective used for violation accounting.
 	SLO float64
@@ -183,9 +186,10 @@ type Config struct {
 	// B same-shard arrivals, not B total.
 	Shards int
 	// VirtualTimers disables the wall-clock batch timeout timers. Instead
-	// of arming time.AfterFunc per opened batch, shards record the batch's
-	// virtual flush deadline (open stamp + TimeoutS on the injected Clock),
-	// and a serialized driver honours it with NextFlushDeadline/FlushDue.
+	// of arming time.AfterFunc per opened batch, shards leave the batch's
+	// deadline (open stamp + TimeoutS on the injected Clock) to a
+	// serialized driver, which honours it with FlushUntil (or
+	// NextFlushDeadline/FlushDue directly).
 	// This is how internal/replay runs trace time through the real batching
 	// hot path deterministically: timeouts fire exactly at their modeled
 	// instant, in shard order, on the driver's goroutine. Leave false for
@@ -356,7 +360,6 @@ type Gateway struct {
 	met     *metrics
 
 	// Immutable after New.
-	initial  *activeCfg
 	fallback *activeCfg // breaker fallback, resolved (zero value -> initial)
 	shards   []*shard
 
@@ -422,7 +425,6 @@ func New(backend Backend, decide DecideFunc, conf Config) (*Gateway, error) {
 		obs:     reg,
 		rec:     obs.NewRecorder(clock, conf.EventCap),
 		met:     met,
-		initial: &activeCfg{cfg: conf.Initial, str: conf.Initial.String()},
 		parser:  core.NewWorkloadParser(conf.WindowLen),
 		stop:    make(chan struct{}),
 	}
@@ -431,7 +433,7 @@ func New(backend Backend, decide DecideFunc, conf Config) (*Gateway, error) {
 		fb = conf.Initial
 	}
 	g.fallback = &activeCfg{cfg: fb, str: fb.String()}
-	g.active.Store(g.initial)
+	g.active.Store(&activeCfg{cfg: conf.Initial, str: conf.Initial.String()})
 	g.shards = make([]*shard, nShards)
 	for i := range g.shards {
 		g.shards[i] = newShard(g, i)
@@ -783,8 +785,8 @@ func (g *Gateway) NextFlushDeadline() (float64, bool) {
 	min, ok := 0.0, false
 	for _, s := range g.shards {
 		s.mu.Lock()
-		if len(s.pending) > 0 && s.flushAt > 0 && (!ok || s.flushAt < min) {
-			min, ok = s.flushAt, true
+		if d, open := s.buf.Deadline(); open && (!ok || d < min) {
+			min, ok = d, true
 		}
 		s.mu.Unlock()
 	}
@@ -802,18 +804,39 @@ func (g *Gateway) FlushDue() int {
 	n := 0
 	for _, s := range g.shards {
 		s.mu.Lock()
-		if len(s.pending) == 0 || s.flushAt <= 0 || s.flushAt > now {
+		if !s.buf.Due(now) {
 			s.mu.Unlock()
 			continue
 		}
 		batch, ac := s.takeBatchLocked()
 		s.mu.Unlock()
-		if len(batch) > 0 {
-			s.execute(batch, ac, causeTimeout, nil)
-			n++
-		}
+		s.execute(batch, ac, causeTimeout, nil)
+		n++
 	}
 	return n
+}
+
+// VirtualTimeouts is the driver's side of Config.VirtualTimers, provided by
+// a Gateway and by a fleet of them.
+type VirtualTimeouts interface {
+	NextFlushDeadline() (float64, bool)
+	FlushDue() int
+}
+
+// FlushUntil dispatches every virtual batch timeout due at or before t, in
+// deadline order: it sets clock to each deadline and calls FlushDue (ties
+// break in shard order). A virtual-clock driver calls it before stamping an
+// arrival at t, so an arrival at exactly a batch's deadline opens the next
+// batch, as lambda.Batcher requires.
+func FlushUntil(v VirtualTimeouts, clock *obs.ManualClock, t float64) {
+	for {
+		d, ok := v.NextFlushDeadline()
+		if !ok || d > t {
+			return
+		}
+		clock.Set(d)
+		v.FlushDue()
+	}
 }
 
 // backoff returns the wait before retry attempt (0-based): exponential from

@@ -293,8 +293,9 @@ func TestConcurrentLoad(t *testing.T) {
 
 func TestFlushTimeoutOnEmptyQueueCountsNothing(t *testing.T) {
 	// Regression: a timeout flush can lose the race with a size dispatch
-	// that already drained the queue, leaving flushTimeout (and execute) a
-	// nil batch. That must never reach the backend or the accounting.
+	// that already drained the queue. The stale timer must not dispatch
+	// anything, and an empty batch must never reach the backend or the
+	// accounting.
 	g, err := New(fastBackend(), nil, Config{
 		Initial: lambda.Config{MemoryMB: 2048, BatchSize: 8, TimeoutS: 30},
 		SLO:     0.1,
@@ -303,7 +304,9 @@ func TestFlushTimeoutOnEmptyQueueCountsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	g.shards[0].flushTimeout()
+	stale := time.NewTimer(time.Hour)
+	stale.Stop()
+	g.shards[0].flushTimeout(&stale)
 	g.shards[0].execute(nil, nil, causeTimeout, nil)
 	s := g.Stats()
 	if s.Invocations != 0 || s.Served != 0 {
@@ -317,5 +320,48 @@ func TestFlushTimeoutOnEmptyQueueCountsNothing(t *testing.T) {
 		if c.Kind == obs.KindCounter && c.Value > 0 {
 			t.Fatalf("counter %s = %v after empty flush", c.Name, c.Value)
 		}
+	}
+}
+
+// TestLateArrivalDispatchesDueBatchFirst covers the wall-timer path of the
+// batching rule: an arrival stamped at or after the open batch's deadline,
+// before the batch's timer has run, dispatches that batch (cause timeout)
+// and opens the next one; and a timer whose batch already left does not
+// touch the batch that replaced it.
+func TestLateArrivalDispatchesDueBatchFirst(t *testing.T) {
+	clock := &obs.ManualClock{}
+	g, err := New(fastBackend(), nil, Config{
+		Initial: lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 60},
+		Clock:   clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	s := g.shards[0]
+	clock.Set(1)
+	first := g.Submit()
+	s.mu.Lock()
+	firstTimer := s.timer
+	s.mu.Unlock()
+	clock.Set(61) // exactly t0+T: the arrival belongs to the next batch
+	second := g.Submit()
+	resp, ok := WaitWithin(first, 5*time.Second)
+	if !ok || resp.BatchSize != 1 {
+		t.Fatalf("due batch not dispatched by the late arrival: %+v (arrived %v)", resp, ok)
+	}
+	if got := g.Obs().MustCounter("gateway_dispatch_timeout_total", "").Value(); got != 1 {
+		t.Fatalf("gateway_dispatch_timeout_total = %v, want 1", got)
+	}
+	s.flushTimeout(&firstTimer)
+	s.mu.Lock()
+	open := len(s.pending)
+	s.mu.Unlock()
+	if open != 1 {
+		t.Fatalf("stale timer flushed the next batch: %d pending, want 1", open)
+	}
+	g.Stop()
+	if resp := second.Wait(); resp.BatchSize != 1 || resp.Error != "" {
+		t.Fatalf("second request: %+v", resp)
 	}
 }

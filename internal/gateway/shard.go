@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"deepbat/internal/lambda"
 	"deepbat/internal/obs"
 )
 
@@ -86,9 +87,10 @@ func shardOf(id uint64, shards int) int {
 // shard is one independent batching queue: its own open batch, batch timer,
 // circuit breaker, tallies, and object pools, all guarded by its own mutex.
 // Requests are hashed onto shards by ID; the shared optimizer configuration
-// arrives via the gateway's atomic config pointer, captured per batch at
-// open. Tallies are merged by the gateway in shard order (index 0..P-1), so
-// deterministic drivers see deterministic merged figures.
+// arrives via the gateway's atomic config pointer, and the shard's
+// lambda.Batcher captures it when a batch opens and decides when the batch
+// dispatches. Tallies are merged by the gateway in shard order (index
+// 0..P-1), so deterministic drivers see deterministic merged figures.
 type shard struct {
 	g   *Gateway
 	idx int
@@ -103,15 +105,13 @@ type shard struct {
 	// waiter through this slot without touching mu at all.
 	freeSlot atomic.Pointer[waiter]
 
-	mu       sync.Mutex
-	pending  []*waiter
-	batchCfg *activeCfg // captured when the open batch started
-	timer    *time.Timer
-	// flushAt is the open batch's timeout deadline in clock seconds
-	// (0 = none armed). Under Config.VirtualTimers it replaces the wall
-	// timer entirely and is honoured by Gateway.FlushDue; otherwise it
-	// mirrors the armed timer for observability.
-	flushAt float64
+	mu sync.Mutex
+	// buf applies the count-or-timeout rule to the open batch, whose
+	// members are pending. Under Config.VirtualTimers its deadline is
+	// honoured by Gateway.FlushDue; otherwise timer fires at it.
+	buf     lambda.Batcher[*activeCfg]
+	pending []*waiter
+	timer   *time.Timer
 
 	// Free-lists backing the zero-alloc steady state.
 	freeW []*waiter
@@ -220,41 +220,39 @@ func (s *shard) recycleBatchLocked(batch []*waiter) {
 // caller owns its dispatch.
 func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, cause string) {
 	g := s.g
-	if len(s.pending) == 0 {
-		// Opening a new batch: snapshot the active parameters and arm the
-		// timeout.
-		s.batchCfg = g.active.Load()
-		//lint:allow hotpath-alloc appends into the recycled pending backing array (cap 16 from grabSliceLocked); in-capacity in steady state
-		s.pending = append(s.pending, w)
-		if s.batchCfg.cfg.BatchSize > 1 && s.batchCfg.cfg.TimeoutS > 0 {
-			g.met.pending.Add(1)
-			s.flushAt = w.arriveAt + s.batchCfg.cfg.TimeoutS
-			if !g.conf.VirtualTimers {
-				s.armTimerLocked(time.Duration(s.batchCfg.cfg.TimeoutS * float64(time.Second)))
-			}
-			s.mu.Unlock()
-			return nil, nil, ""
-		}
-		// B = 1 or T = 0: serve immediately, no accumulation. The request
-		// never waits, so the pending gauge (whose +1/-1 would cancel
-		// inside this same lock hold) is left untouched.
-		batch = s.pending
-		//lint:allow pool-ownership the shard is the long-lived owner of its pending slice; the old backing array leaves as the batch and recycles after dispatch
-		s.pending = s.grabSliceLocked()
-		ac = s.batchCfg
+	for s.buf.Due(w.arriveAt) {
+		// The open batch's window closed before this arrival, but its timer
+		// has not run yet (or a VirtualTimers driver has not flushed it):
+		// dispatch it first, as the timer would have.
+		late, lateAc := s.takeBatchLocked()
 		s.mu.Unlock()
-		return batch, ac, causeImmediate
+		s.execute(late, lateAc, causeTimeout, nil)
+		s.mu.Lock()
 	}
 	//lint:allow hotpath-alloc appends into the recycled pending backing array (cap 16 from grabSliceLocked); in-capacity in steady state
 	s.pending = append(s.pending, w)
-	g.met.pending.Add(1)
-	if len(s.pending) >= s.batchCfg.cfg.BatchSize {
+	ac = g.active.Load()
+	switch s.buf.Add(w.arriveAt, ac.cfg, ac) {
+	case lambda.CauseNone:
+		g.met.pending.Add(1)
+		if len(s.pending) == 1 && !g.conf.VirtualTimers {
+			// This arrival opened the batch under ac.
+			s.armTimerLocked(time.Duration(ac.cfg.TimeoutS * float64(time.Second)))
+		}
+		s.mu.Unlock()
+		return nil, nil, ""
+	case lambda.CauseSize:
+		g.met.pending.Add(1)
 		batch, ac = s.takeBatchLocked()
 		s.mu.Unlock()
 		return batch, ac, causeSize
 	}
+	// B = 1 or T = 0: the request never waits, so the pending gauge (whose
+	// +1/-1 would cancel inside this same lock hold) is left untouched and
+	// no timer was armed.
+	batch, ac = s.swapBatchLocked()
 	s.mu.Unlock()
-	return nil, nil, ""
+	return batch, ac, causeImmediate
 }
 
 // submitPooled is the zero-alloc admit path: the waiter comes from the
@@ -273,37 +271,53 @@ func (s *shard) submitPooled(id int, arriveAt float64) (w *waiter, batch []*wait
 	return w, batch, ac, cause
 }
 
-// armTimerLocked starts the batch timeout and registers it with the
+// armTimerLocked starts the open batch's timeout and registers it with the
 // gateway's timerWG so Stop can join it whether it fires or is cancelled.
 // Callers hold mu.
 func (s *shard) armTimerLocked(d time.Duration) {
 	s.g.timerWG.Add(1)
+	var t *time.Timer
 	//lint:allow hotpath-alloc one timer per opened batch, amortized over its B requests; the B=1/T=0 zero-alloc configuration never arms it
-	s.timer = time.AfterFunc(d, func() {
+	t = time.AfterFunc(d, func() {
 		defer s.g.timerWG.Done()
-		s.flushTimeout()
+		s.flushTimeout(&t)
 	})
+	s.timer = t
 }
 
-// flushTimeout dispatches the open batch when its timer fires.
-func (s *shard) flushTimeout() {
+// flushTimeout dispatches the open batch when its timer *t fires. *t is
+// read under mu, which armTimerLocked held while assigning it. A timer whose
+// batch already left (filled by size, or found due by a later arrival) no
+// longer matches s.timer and does nothing: the open batch, if any, has a
+// timer of its own.
+func (s *shard) flushTimeout(t **time.Timer) {
 	s.mu.Lock()
+	if s.timer != *t {
+		s.mu.Unlock()
+		return
+	}
 	batch, ac := s.takeBatchLocked()
 	s.mu.Unlock()
-	if len(batch) > 0 {
-		s.execute(batch, ac, causeTimeout, nil)
-	}
+	s.execute(batch, ac, causeTimeout, nil)
 }
 
-// takeBatchLocked removes and returns the pending batch together with the
-// parameters it was opened under, swapping in a recycled backing array.
-// Callers hold mu.
-func (s *shard) takeBatchLocked() ([]*waiter, *activeCfg) {
+// swapBatchLocked closes the open batch and returns its members together
+// with the configuration it was opened under, swapping in a recycled backing
+// array. Callers hold mu.
+func (s *shard) swapBatchLocked() ([]*waiter, *activeCfg) {
 	batch := s.pending
 	//lint:allow pool-ownership the shard is the long-lived owner of its pending slice; the old backing array leaves as the batch and recycles after dispatch
 	s.pending = s.grabSliceLocked()
+	ac, _ := s.buf.Take()
+	return batch, ac
+}
+
+// takeBatchLocked is swapBatchLocked for a batch that waited: it also
+// releases the batch from the pending gauge and cancels its wall timer.
+// Callers hold mu.
+func (s *shard) takeBatchLocked() ([]*waiter, *activeCfg) {
+	batch, ac := s.swapBatchLocked()
 	s.g.met.pending.Add(-float64(len(batch)))
-	s.flushAt = 0
 	if s.timer != nil {
 		if s.timer.Stop() {
 			// The callback will never run; release its timerWG slot here.
@@ -311,7 +325,7 @@ func (s *shard) takeBatchLocked() ([]*waiter, *activeCfg) {
 		}
 		s.timer = nil
 	}
-	return batch, s.batchCfg
+	return batch, ac
 }
 
 // expireBatch fails fast every waiter whose per-request deadline has passed
@@ -461,18 +475,13 @@ func (s *shard) failBatch(batch []*waiter, self *waiter, cause error, attempts i
 // (see deliver) instead of a channel send.
 func (s *shard) execute(batch []*waiter, ac *activeCfg, cause string, self *waiter) {
 	if len(batch) == 0 {
-		// Empty-batch race: a timeout flush can lose the race with a
-		// size/flush dispatch that already drained the queue. Never invoke
-		// the backend — or count an invocation — for nothing.
+		// Never invoke the backend — or count an invocation — for nothing.
 		return
 	}
 	g := s.g
 	// orig keeps the full original slice so every waiter pointer is cleared
 	// at recycle time even after expireBatch shrinks batch in place.
 	orig := batch
-	if ac == nil || ac.cfg.BatchSize == 0 {
-		ac = g.initial
-	}
 	// Hoist the feature-flag checks out of expireBatch / admitBreaker /
 	// noteSuccess: with deadlines and the breaker disabled (the steady-state
 	// serving configuration) the hot path skips three non-inlined calls.

@@ -255,8 +255,8 @@ func TestPerShardBreakerIsolation(t *testing.T) {
 			}
 			sawShed = true
 		case 1:
-			if resp.Config != g.initial.str {
-				t.Fatalf("healthy shard served %q, want active %q", resp.Config, g.initial.str)
+			if resp.Config != g.active.Load().str {
+				t.Fatalf("healthy shard served %q, want active %q", resp.Config, g.active.Load().str)
 			}
 			sawActive = true
 		}

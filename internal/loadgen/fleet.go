@@ -77,7 +77,7 @@ func RunFleetOpen(p fleet.Plan, c Config) (FleetResult, error) {
 			}
 		}
 		at := next[ci]
-		flushFleetUntil(f, clock, at)
+		gateway.FlushUntil(f, clock, at)
 		clock.Set(at)
 		handles = append(handles, f.Submit(ci))
 		classes = append(classes, ci)
@@ -109,17 +109,4 @@ func RunFleetOpen(p fleet.Plan, c Config) (FleetResult, error) {
 	}
 	res.Total = total.report("open", c, 0, elapsed, f.Stats().TotalCostUSD)
 	return res, nil
-}
-
-// flushFleetUntil dispatches every virtual batch timeout due at or before t,
-// in deadline order across the fleet's groups.
-func flushFleetUntil(f *fleet.Fleet, clock *obs.ManualClock, t float64) {
-	for {
-		d, ok := f.NextFlushDeadline()
-		if !ok || d > t {
-			return
-		}
-		clock.Set(d)
-		f.FlushDue()
-	}
 }

@@ -1,12 +1,28 @@
 package qsim
 
-import "deepbat/internal/obs"
+import (
+	"deepbat/internal/lambda"
+	"deepbat/internal/obs"
+)
 
 // Dispatch causes recorded by the simulator's metrics and event stream.
 const (
 	dispatchCauseSize    = "size"    // buffer reached cfg.BatchSize
 	dispatchCauseTimeout = "timeout" // cfg.TimeoutS elapsed since the first request
 )
+
+// causeLabel maps the batcher's dispatch cause onto qsim's two series. The
+// batcher reports a dispatch on arrival (B = 1 or T = 0) as immediate; qsim
+// has no such series, so it labels that dispatch by the bound that forced
+// it: size when B = 1 (the arrival filled the batch), timeout when T = 0 (its
+// window closed at once). This keeps qsim's series, dispatch events and
+// snapshots byte-identical to the labels they have always carried.
+func causeLabel(c lambda.Cause, cfg lambda.Config) string {
+	if c == lambda.CauseSize || (c == lambda.CauseImmediate && cfg.BatchSize <= 1) {
+		return dispatchCauseSize
+	}
+	return dispatchCauseTimeout
+}
 
 // batchSizeBuckets covers the configuration grid's batch sizes.
 func batchSizeBuckets() []float64 { return []float64{1, 2, 4, 8, 16, 32, 64} }

@@ -1,8 +1,10 @@
 // Package qsim is the discrete-event simulator of the serverless batching
 // system that both the paper and BATCH use as ground truth. Requests arrive
-// at given timestamps, accumulate in a buffer that dispatches either when the
-// batch size B is reached or T seconds after the first request of the batch
-// arrived, and execute on an autoscaling serverless function with
+// at given timestamps and accumulate in the count-or-timeout buffer that
+// lambda.Batcher defines once for every batching path: a batch dispatches on
+// its B-th arrival or T seconds after its first arrival t0, and an arrival at
+// exactly t0+T opens the next batch. The gateway's shards serve with the same
+// state machine. Batches execute on an autoscaling serverless function with
 // deterministic, configuration-dependent service times. Per-request latency
 // is buffering delay plus service time; cost follows the AWS Lambda pricing
 // model. An optional warm-container pool models cold starts.
@@ -184,19 +186,11 @@ func (s *Simulator) Run(arrivals []float64, cfg lambda.Config) (*Result, error) 
 		slots = newSlotPool(s.Opts.MaxConcurrency)
 	}
 
+	var buf lambda.Batcher[lambda.Config]
 	i := 0
 	for i < n {
-		first := arrivals[i]
-		deadline := first + cfg.TimeoutS
-		j := i + 1
-		for j < n && j-i < cfg.BatchSize && arrivals[j] <= deadline {
-			j++
-		}
+		j, dispatch, cause := nextBatch(&buf, arrivals, i, cfg)
 		size := j - i
-		dispatch := deadline
-		if size == cfg.BatchSize {
-			dispatch = arrivals[j-1]
-		}
 		start := dispatch
 		if slots != nil {
 			// Wait for the earliest slot to free up, then occupy it.
@@ -228,10 +222,6 @@ func (s *Simulator) Run(arrivals []float64, cfg lambda.Config) (*Result, error) 
 				retryDelay += s.Opts.Retry.BackoffS(attempts - 1)
 			}
 			res.Retries += attempts - 1
-		}
-		cause := dispatchCauseTimeout
-		if size == cfg.BatchSize {
-			cause = dispatchCauseSize
 		}
 		if failed {
 			failAt := start + retryDelay
@@ -294,15 +284,33 @@ func (s *Simulator) Run(arrivals []float64, cfg lambda.Config) (*Result, error) 
 			res.PerRequestCost[k] = perReq
 			res.DispatchTimes[k] = dispatch
 		}
-		met.observeBatch(batch, cause, res.Latencies[i:j])
+		label := causeLabel(cause, cfg)
+		met.observeBatch(batch, label, res.Latencies[i:j])
 		met.observeRetries(attempts - 1)
-		recordDispatch(s.Opts.Recorder, batch, cause)
+		recordDispatch(s.Opts.Recorder, batch, label)
 		if s.Opts.EnableColdStarts {
 			warm = append(warm, execStart+svc)
 		}
 		i = j
 	}
 	return res, nil
+}
+
+// nextBatch feeds arrivals[i:] to the batcher until the batch that opens at
+// arrivals[i] dispatches, and returns its end (exclusive), its dispatch
+// instant and cause. A batch whose window closes before the next arrival, or
+// that is still open when the trace ends, dispatches at its timeout.
+func nextBatch(buf *lambda.Batcher[lambda.Config], arrivals []float64, i int, cfg lambda.Config) (int, float64, lambda.Cause) {
+	j := i
+	for ; j < len(arrivals) && !buf.Due(arrivals[j]); j++ {
+		if cause := buf.Add(arrivals[j], cfg, cfg); cause != lambda.CauseNone {
+			buf.Take()
+			return j + 1, arrivals[j], cause
+		}
+	}
+	deadline, _ := buf.Deadline()
+	buf.Take()
+	return j, deadline, lambda.CauseTimeout
 }
 
 // slotPool tracks the end times of in-flight invocations under a

@@ -83,16 +83,36 @@ func TestBatchFlushesByTimeout(t *testing.T) {
 }
 
 func TestZeroTimeoutServesIndividually(t *testing.T) {
-	res, err := sim().Run([]float64{0, 0.5, 1.0}, cfg(2048, 8, 0))
+	// Arrivals sharing a timestamp are not grouped either.
+	res, err := sim().Run([]float64{0, 0.5, 0.5, 1.0}, cfg(2048, 8, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Batches) != 3 {
-		t.Fatalf("batches = %d, want 3 (one per request)", len(res.Batches))
+	if len(res.Batches) != 4 {
+		t.Fatalf("batches = %d, want 4 (one per request)", len(res.Batches))
 	}
 	for _, b := range res.Batches {
 		if b.Size != 1 {
 			t.Fatalf("batch size = %d, want 1", b.Size)
+		}
+	}
+}
+
+func TestArrivalAtDeadlineOpensNextBatch(t *testing.T) {
+	// The window of a batch opened at t0 is [t0, t0+T): the arrival at
+	// exactly 1 + 0.25 does not join the first batch, which dispatches at
+	// its timeout alone.
+	res, err := sim().Run([]float64{1, 1.25, 2}, cfg(2048, 4, 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{1.25, 1.5, 2.25}
+	if len(res.Batches) != len(want) {
+		t.Fatalf("batches = %+v, want %d", res.Batches, len(want))
+	}
+	for i, b := range res.Batches {
+		if b.Size != 1 || b.DispatchAt != want[i] {
+			t.Fatalf("batch %d = %+v, want size 1 dispatched at %v", i, b, want[i])
 		}
 	}
 }

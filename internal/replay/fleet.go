@@ -140,7 +140,7 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 	classes := make([]int, len(reqs))
 	for i, rq := range reqs {
 		at := rq.AtS / ts
-		fleetFlushUntil(f, clock, at)
+		gateway.FlushUntil(f, clock, at)
 		clock.Set(at)
 		arrive[i] = at
 		ci := classMap[rq.Class]
@@ -151,7 +151,7 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 	if last := arrive[len(arrive)-1]; last > end {
 		end = last
 	}
-	fleetFlushUntil(f, clock, end)
+	gateway.FlushUntil(f, clock, end)
 	if clock.Now() < end {
 		clock.Set(end)
 	}
@@ -237,19 +237,6 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 		rep.CostUSD += st.TotalCostUSD
 	}
 	return rep, nil
-}
-
-// fleetFlushUntil dispatches every virtual batch timeout due at or before t,
-// in deadline order across all groups.
-func fleetFlushUntil(f *fleet.Fleet, clock *obs.ManualClock, t float64) {
-	for {
-		d, ok := f.NextFlushDeadline()
-		if !ok || d > t {
-			return
-		}
-		clock.Set(d)
-		f.FlushDue()
-	}
 }
 
 // WriteText renders the fleet report as a fixed-format text table — byte-

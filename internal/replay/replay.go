@@ -5,7 +5,7 @@
 // The driver is single-threaded and fully virtual-time: arrivals are taken
 // from the trace (optionally compressed by a time-scale factor), the
 // gateway runs with Config.VirtualTimers so batch timeouts fire exactly at
-// their modeled instants via NextFlushDeadline/FlushDue, and a clock-
+// their modeled instants via gateway.FlushUntil, and a clock-
 // advancing backend charges each invocation's deterministic service time to
 // the same clock. The result: every latency, dispatch cause, and cost in
 // the report is a pure function of (trace bytes, replay config) — the same
@@ -255,7 +255,7 @@ func Run(c Config) (Report, error) {
 	handles, arrive := s.handles, s.arrive
 	for i, rq := range reqs {
 		at := rq.AtS / ts
-		flushUntil(g, clock, at)
+		gateway.FlushUntil(g, clock, at)
 		clock.Set(at)
 		arrive[i] = at
 		handles[i] = g.Submit()
@@ -264,7 +264,7 @@ func Run(c Config) (Report, error) {
 	if last := arrive[len(arrive)-1]; last > end {
 		end = last
 	}
-	flushUntil(g, clock, end)
+	gateway.FlushUntil(g, clock, end)
 	if clock.Now() < end {
 		clock.Set(end)
 	}
@@ -351,19 +351,6 @@ func Run(c Config) (Report, error) {
 		Invocations: st.Invocations,
 		CostUSD:     st.TotalCostUSD,
 	}, nil
-}
-
-// flushUntil dispatches every virtual batch timeout due at or before t, in
-// deadline order (ties broken by shard order inside FlushDue).
-func flushUntil(g *gateway.Gateway, clock *obs.ManualClock, t float64) {
-	for {
-		d, ok := g.NextFlushDeadline()
-		if !ok || d > t {
-			return
-		}
-		clock.Set(d)
-		g.FlushDue()
-	}
 }
 
 // WriteText renders the report as a fixed-format text table — the byte-
